@@ -8,6 +8,7 @@
 // conflicts are rare — which is itself a finding worth stating).
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
@@ -23,10 +24,13 @@ ebbiot::RunResult runWith(ebbiot::AssociationMethod method, double seconds,
   spec.durationS = seconds;
   Recording rec = openRecording(spec);
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runEbbiot = false;
-  config.runEbms = false;
+  config.variants.clear();
   config.gtOptions.minVisibleFraction = 0.10F;
-  config.kalman.tracker.association = method;
+  config.extraPipelines.push_back([method] {
+    KalmanPipelineConfig kalman;
+    kalman.tracker.association = method;
+    return std::make_unique<KalmanPipeline>(kalman);
+  });
   return runRecording(*rec.source, *rec.scenario,
                       secondsToUs(spec.durationS), config);
 }
@@ -61,10 +65,11 @@ int main() {
     PrCounts at05;
     double ops = 0.0;
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const RunResult& r = cells[m * seeds.size() + s];
-      at03 += r.kalman->counts[2];
-      at05 += r.kalman->counts[4];
-      ops += r.kalman->meanOpsPerFrame() / static_cast<double>(seeds.size());
+      const PipelineRunStats& kalman =
+          cells[m * seeds.size() + s].pipelines.front();
+      at03 += kalman.counts[2];
+      at05 += kalman.counts[4];
+      ops += kalman.meanOpsPerFrame() / static_cast<double>(seeds.size());
     }
     std::printf("%-12s %10.3f %10.3f %10.3f %10.3f %14.0f\n",
                 methods[m].first, at03.precision(), at03.recall(),

@@ -34,16 +34,16 @@ int main() {
     spec.durationS = kSeconds;
     Recording rec = openRecording(spec);
     RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-    config.runKalman = false;
-    config.runEbms = false;
+    config.variants = {"EBBIOT"};
     config.framePeriod = millisToUs(periodsMs[i]);
     results[i] = runRecording(*rec.source, *rec.scenario,
                               secondsToUs(spec.durationS), config);
   });
   for (std::size_t i = 0; i < periodsMs.size(); ++i) {
     const double tFms = periodsMs[i];
-    const PrCounts& c = results[i].ebbiot->counts[2];  // IoU 0.3
-    const double opsPerFrame = results[i].ebbiot->meanOpsPerFrame();
+    const PipelineRunStats& ebbiot = results[i].pipelines.front();
+    const PrCounts& c = ebbiot.counts[2];  // IoU 0.3
+    const double opsPerFrame = ebbiot.meanOpsPerFrame();
     std::printf("%-10.1f %10.3f %10.3f %10.3f %16.0f %16.0f\n", tFms,
                 c.precision(), c.recall(), c.f1(), opsPerFrame,
                 opsPerFrame * 1000.0 / tFms);

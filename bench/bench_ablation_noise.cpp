@@ -6,6 +6,7 @@
 // streams.  Shows the salt-and-pepper robustness the EBBI + median design
 // buys, and where everything degrades.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
@@ -21,9 +22,15 @@ ebbiot::RunResult runAt(double noiseHz, int medianPatch, bool withEbms) {
   spec.synth.backgroundActivityHz = noiseHz;
   Recording rec = openRecording(spec);
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = withEbms;
-  config.ebbiot.medianPatch = medianPatch;
+  config.variants.clear();
+  if (withEbms) {
+    config.variants = {"EBMS"};
+  }
+  config.extraPipelines.push_back([medianPatch] {
+    EbbiotPipelineConfig ebbiot;
+    ebbiot.medianPatch = medianPatch;
+    return std::make_unique<EbbiotPipeline>(ebbiot);
+  });
   return runRecording(*rec.source, *rec.scenario,
                       secondsToUs(spec.durationS), config);
 }
@@ -55,9 +62,9 @@ int main() {
   });
   for (std::size_t level = 0; level < noiseLevels.size(); ++level) {
     std::printf("%-14.1f %14.3f %14.3f %14.3f\n", noiseLevels[level],
-                withMedian[level].ebbiot->counts[2].f1(),
-                noMedian[level].ebbiot->counts[2].f1(),
-                withMedian[level].ebms->counts[2].f1());
+                withMedian[level].stats("EBBIOT")->counts[2].f1(),
+                noMedian[level].stats("EBBIOT")->counts[2].f1(),
+                withMedian[level].stats("EBMS")->counts[2].f1());
   }
   std::printf("\n(The p = 3 median keeps the RPN clean well past typical "
               "DAVIS noise rates;\nwithout it, noise pixels seed ghost "

@@ -1,14 +1,15 @@
 // Ablation — region-proposal design (Section II-B + the paper's stated
-// future work), driven entirely through the variant registry.
+// future work), one runRecording per sweep.
 //
 // Sweeps:
-//   1. downsample factors (s1, s2): each grid point registers as a named
-//      variant in a *local* registry and a single runRecording evaluates
-//      the whole grid on the same recording — proposal quality (end-to-end
-//      EBBIOT F1) vs RPN compute, including the paper's (6, 3);
+//   1. downsample factors (s1, s2): each grid point is a named pipeline
+//      factory and a single runRecording evaluates the whole grid on the
+//      same recording — proposal quality (end-to-end EBBIOT F1) vs RPN
+//      compute, including the paper's (6, 3);
 //   2. every pipeline in the *global* registry (histogram RPN, CCA,
 //      NN-filtered, hybrid back ends, ...), same recording, one run.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,13 +20,12 @@
 
 namespace {
 
-ebbiot::RunResult runVariants(const ebbiot::VariantRegistry* registry,
+ebbiot::RunResult runVariants(const ebbiot::RunnerConfig& config,
                               double seconds) {
   using namespace ebbiot;
   RecordingSpec spec = makeSyntheticEng();
   spec.durationS = seconds;
   Recording rec = openRecording(spec);
-  const RunnerConfig config = makeRegistryRunnerConfig(240, 180, registry);
   return runRecording(*rec.source, *rec.scenario,
                       secondsToUs(spec.durationS), config);
 }
@@ -45,28 +45,26 @@ int main() {
               "pipe ops/fr");
   std::printf("%.*s\n", 54,
               "------------------------------------------------------");
-  VariantRegistry grid;
+  RunnerConfig grid = makeDefaultRunnerConfig(240, 180);
+  grid.variants.clear();
   const std::pair<int, int> factors[] = {{1, 1}, {2, 2}, {4, 2}, {6, 3},
                                          {8, 4}, {12, 6}, {24, 12}};
   for (const auto& [s1, s2] : factors) {
-    const std::string key =
-        "EBBIOT-s" + std::to_string(s1) + "x" + std::to_string(s2);
-    grid.add(key, "downsample grid point",
-             [key, s1 = s1, s2 = s2](const VariantContext& ctx) {
-               EbbiotPipelineConfig pipe;
-               pipe.width = ctx.width;
-               pipe.height = ctx.height;
-               pipe.rpn.s1 = s1;
-               pipe.rpn.s2 = s2;
-               return std::make_unique<EbbiotPipeline>(pipe, key);
-             });
+    grid.extraPipelines.push_back([s1 = s1, s2 = s2] {
+      EbbiotPipelineConfig pipe;
+      pipe.rpn.s1 = s1;
+      pipe.rpn.s2 = s2;
+      return std::make_unique<EbbiotPipeline>(
+          pipe, "EBBIOT-s" + std::to_string(s1) + "x" + std::to_string(s2));
+    });
   }
+  const RunnerConfig zoo = makeRegistryRunnerConfig(240, 180);
   // The grid run and the global-registry zoo run synthesize independent
   // recordings, so they shard across the shared scheduler as two tasks;
   // rows still print in fixed order below.
   std::vector<RunResult> sharded(2);
   globalThreadPool().parallelFor(sharded.size(), [&](std::size_t i) {
-    sharded[i] = runVariants(i == 0 ? &grid : nullptr, kSeconds);
+    sharded[i] = runVariants(i == 0 ? grid : zoo, kSeconds);
   });
   const RunResult& gridRun = sharded[0];
   for (const PipelineRunStats& stats : gridRun.pipelines) {
@@ -81,8 +79,7 @@ int main() {
               "pipe ops/fr");
   std::printf("%.*s\n", 56,
               "--------------------------------------------------------");
-  const RunResult& zoo = sharded[1];
-  for (const PipelineRunStats& stats : zoo.pipelines) {
+  for (const PipelineRunStats& stats : sharded[1].pipelines) {
     std::printf("%-18s %10.3f %10.3f %14.0f\n", stats.name.c_str(),
                 stats.counts[2].f1(), stats.counts[4].f1(),
                 stats.meanOpsPerFrame());

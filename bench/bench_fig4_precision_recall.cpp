@@ -8,6 +8,7 @@
 // the traffic process is stationary so the curves converge quickly).
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
@@ -50,16 +51,37 @@ int main() {
   globalThreadPool().parallelFor(specs.size(), [&](std::size_t i) {
     const RecordingSpec& spec = specs[i];
     Recording rec = openRecording(spec);
-    RunnerConfig config = makeDefaultRunnerConfig(spec.traffic.width,
-                                                  spec.traffic.height);
+    const int width = spec.traffic.width;
+    const int height = spec.traffic.height;
+    RunnerConfig config = makeDefaultRunnerConfig(width, height);
     // Annotate objects as soon as a tenth is visible so entering/leaving
     // vehicles score against their tracks rather than as false positives.
     config.gtOptions.minVisibleFraction = 0.10F;
     if (spec.traffic.lensScale < 1.0F) {
       // 6 mm lens: smaller objects, relax the seed gates proportionally.
-      config.ebbiot.tracker.minSeedArea = 6.0F;
-      config.kalman.tracker.minSeedArea = 6.0F;
-      config.ebms.ebms.captureRadius = 18.0F;
+      config.variants.clear();
+      config.extraPipelines = {
+          [width, height] {
+            EbbiotPipelineConfig c;
+            c.width = width;
+            c.height = height;
+            c.tracker.minSeedArea = 6.0F;
+            return std::make_unique<EbbiotPipeline>(c);
+          },
+          [width, height] {
+            KalmanPipelineConfig c;
+            c.width = width;
+            c.height = height;
+            c.tracker.minSeedArea = 6.0F;
+            return std::make_unique<KalmanPipeline>(c);
+          },
+          [width, height] {
+            EbmsPipelineConfig c;
+            c.nnFilter.width = width;
+            c.nnFilter.height = height;
+            c.ebms.captureRadius = 18.0F;
+            return std::make_unique<EbmsPipeline>(c);
+          }};
     }
     results[i] = runRecording(*rec.source, *rec.scenario,
                               secondsToUs(spec.durationS), config);
@@ -76,10 +98,11 @@ int main() {
                 spec.name.c_str(), result.frames, result.gtTracks,
                 result.gtBoxes, result.meanEventsPerFrame);
     ebbiotResults.push_back(
-        result.toRecordingResult(*result.ebbiot, spec.name));
+        result.toRecordingResult(*result.stats("EBBIOT"), spec.name));
     kalmanResults.push_back(
-        result.toRecordingResult(*result.kalman, spec.name));
-    ebmsResults.push_back(result.toRecordingResult(*result.ebms, spec.name));
+        result.toRecordingResult(*result.stats("EBBI+KF"), spec.name));
+    ebmsResults.push_back(
+        result.toRecordingResult(*result.stats("EBMS"), spec.name));
   }
 
   const auto ebbiotAvg = weightedAverage(ebbiotResults);

@@ -55,7 +55,8 @@ int main() {
   const RunResult run = runRecording(*rec.source, *rec.scenario,
                                      secondsToUs(spec.durationS), config);
 
-  const double measuredOurs = run.ebbiot->meanOpsPerFrame();
+  const PipelineRunStats& ebms = *run.stats("EBMS");
+  const double measuredOurs = run.stats("EBBIOT")->meanOpsPerFrame();
 
   // --- Model side, at the operating point measured from this very run
   // (alpha, beta, NF feed Eqs. (1), (2), (8)).
@@ -63,7 +64,7 @@ int main() {
   params.ebbi.alpha = run.meanAlpha;
   params.nnFilt.alpha = run.meanAlpha;
   params.nnFilt.beta = run.meanBeta;
-  params.ebms.nF = run.meanFilteredEventsPerFrame;
+  params.ebms.nF = ebms.filteredEventsPerFrame;
   const CostEstimate modelOurs = ebbiotPipelineCost(params);
 
   // Closed-form counterpart of each registered variant (0 = no model).
@@ -76,8 +77,7 @@ int main() {
               seconds, run.frames, run.pipelines.size());
   std::printf("operating point: alpha = %.4f, beta = %.2f, NF = %.0f "
               "events/frame after NN-filt\n\n",
-              run.meanAlpha, run.meanBeta,
-              run.meanFilteredEventsPerFrame);
+              run.meanAlpha, run.meanBeta, ebms.filteredEventsPerFrame);
 
   std::printf("%-16s %16s %16s %14s %16s\n", "pipeline", "model ops/fr",
               "measured ops/fr", "model mem[kB]", "measured acc/fr");
@@ -121,7 +121,7 @@ int main() {
   }
   std::printf("\n(paper: EBMS chain ~3x computes, ~7x memory of EBBIOT)\n");
 
-  const double measuredEbms = run.ebms->meanOpsPerFrame();
+  const double measuredEbms = ebms.meanOpsPerFrame();
   std::printf(
       "\nNote on measured EBMS ops: Eq. (8) charges ~%.0f ops per filtered\n"
       "event (9*CL^2 + (169 + 16*g)*CL + 11 at CL = 2), the cost of the\n"
@@ -131,10 +131,10 @@ int main() {
       "frame-domain measurements are implementation-faithful; see\n"
       "EXPERIMENTS.md for the discussion.\n",
       9.0 * 4.0 + (169.0 + 1.6) * 2.0 + 11.0,
-      run.meanFilteredEventsPerFrame > 0.0
+      ebms.filteredEventsPerFrame > 0.0
           ? (measuredEbms -
              run.meanEventsPerFrame * 32.0) /  // NN-filt share (Eq. 2)
-                run.meanFilteredEventsPerFrame
+                ebms.filteredEventsPerFrame
           : 0.0);
   std::printf(
       "\nNote on the median stage: measured compute is Eq. (1)'s fixed\n"

@@ -855,19 +855,19 @@ int main(int argc, char** argv) {
 
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebbiot->meanOpsPerFrame();
+    w.opsPerFrame = run.stats("EBBIOT")->meanOpsPerFrame();
     w.txBitsPerFrame = trackPayloadBits(meanTracks);
     printRow("EBBIOT -> tracks", estimateNodeBudget(node, w));
   }
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebbiot->meanOpsPerFrame();
+    w.opsPerFrame = run.stats("EBBIOT")->meanOpsPerFrame();
     w.txBitsPerFrame = ebbiPayloadBits(240, 180);
     printRow("EBBIOT -> EBBI frames", estimateNodeBudget(node, w));
   }
   {
     NodeWorkload w;
-    w.opsPerFrame = run.ebms->meanOpsPerFrame();
+    w.opsPerFrame = run.stats("EBMS")->meanOpsPerFrame();
     w.txBitsPerFrame = trackPayloadBits(meanTracks);
     printRow("NN-filt+EBMS -> tracks", estimateNodeBudget(node, w));
   }

@@ -23,7 +23,6 @@
 #include "src/common/rng.hpp"
 #include "src/core/runner.hpp"
 #include "src/detect/cca_reference.hpp"
-#include "src/filters/median_filter_incremental.hpp"
 #include "src/filters/median_filter_reference.hpp"
 #include "src/filters/nn_filter_reference.hpp"
 #include "src/sim/davis.hpp"
@@ -187,87 +186,6 @@ void BM_MedianFilterReference(benchmark::State& state) {
   counters.report();
 }
 BENCHMARK(BM_MedianFilterReference);
-
-void BM_MedianFilterIncremental(benchmark::State& state) {
-  // The row-diffing variant over the same cycling frame bank: each frame
-  // differs from the previous in the moving traffic band only, so the
-  // carry-save majority re-runs on the changed rows (+-1 halo) and the
-  // rest of the output is reused.  Pinned bit-identical to BM_MedianFilter
-  // by tests/test_median_filter_incremental.cpp.
-  FrameBank& bank = FrameBank::instance();
-  MedianFilterIncremental median(3);
-  std::size_t i = 0;
-  for (std::size_t w = 0; w < bank.size(); ++w) {
-    benchmark::DoNotOptimize(median.apply(bank.ebbi(w)));  // warm-up
-  }
-  StageCounters counters(state);
-  for (auto _ : state) {
-    const BinaryImage& out = median.apply(bank.ebbi(i++));
-    benchmark::DoNotOptimize(out);
-    counters.frame(median.lastOps());
-  }
-  counters.report();
-}
-BENCHMARK(BM_MedianFilterIncremental);
-
-/// Stable-scene EBBIs: a persistent saturated activity region (flicker /
-/// foliage latching the same pixels every window) plus one small mover —
-/// the surveillance regime where consecutive windows repeat most rows.
-/// The noisy ENG bank above is the incremental filter's worst case
-/// (frame-wide shot noise touches every row, so nothing is reusable and
-/// the diff is pure overhead); this is the case it is built for.
-std::vector<BinaryImage> stableSceneFrames() {
-  std::vector<BinaryImage> frames;
-  for (int f = 0; f < 64; ++f) {
-    BinaryImage img(240, 180);
-    for (int y = 40; y < 140; ++y) {
-      for (int x = 30; x < 210; ++x) {
-        img.set(x, y, true);
-      }
-    }
-    const int moverX = 20 + 3 * f;
-    for (int y = 150; y < 160; ++y) {
-      for (int x = moverX; x < moverX + 12; ++x) {
-        img.set(x % 240, y, true);
-      }
-    }
-    frames.push_back(std::move(img));
-  }
-  return frames;
-}
-
-void BM_MedianFilterStableScene(benchmark::State& state) {
-  static const std::vector<BinaryImage> frames = stableSceneFrames();
-  MedianFilter median(3);
-  BinaryImage out(240, 180);
-  std::size_t i = 0;
-  median.applyInto(frames[0], out);  // warm-up: alloc-free after
-  StageCounters counters(state);
-  for (auto _ : state) {
-    median.applyInto(frames[i++ % frames.size()], out);
-    benchmark::DoNotOptimize(out);
-    counters.frame(median.lastOps());
-  }
-  counters.report();
-}
-BENCHMARK(BM_MedianFilterStableScene);
-
-void BM_MedianFilterIncrementalStableScene(benchmark::State& state) {
-  static const std::vector<BinaryImage> frames = stableSceneFrames();
-  MedianFilterIncremental median(3);
-  std::size_t i = 0;
-  for (std::size_t w = 0; w < frames.size(); ++w) {
-    benchmark::DoNotOptimize(median.apply(frames[w]));  // warm-up
-  }
-  StageCounters counters(state);
-  for (auto _ : state) {
-    const BinaryImage& out = median.apply(frames[i++ % frames.size()]);
-    benchmark::DoNotOptimize(out);
-    counters.frame(median.lastOps());
-  }
-  counters.report();
-}
-BENCHMARK(BM_MedianFilterIncrementalStableScene);
 
 void BM_DownsampleAndHistogram(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();
@@ -793,20 +711,17 @@ BENCHMARK(BM_LatchReadout);
 
 void BM_RunRecordingRegistry(benchmark::State& state) {
   // The full evaluation harness: all registered variants over a short
-  // synthetic ENG slice, at {threads, pipelined} given by the benchmark
-  // args.  threads=1 is the serial loop; higher counts exercise the
-  // stage-graph (pipelined=1) or per-frame barrier (pipelined=0) paths —
+  // synthetic ENG slice on the benchmark arg's thread count.  threads=1
+  // is the serial loop, higher counts the stage graph —
   // tools/bench_micro_json.py turns this grid into the thread-scaling
   // section of BENCH_micro.json.
   const auto threads = static_cast<int>(state.range(0));
-  const bool pipelined = state.range(1) != 0;
   RecordingSpec spec = makeSyntheticEng();
   spec.durationS = 5.0;
   for (auto _ : state) {
     Recording rec = openRecording(spec);
     RunnerConfig config = makeRegistryRunnerConfig(240, 180);
     config.threads = threads;
-    config.pipelined = pipelined;
     config.maxFrames = 45;
     const RunResult result =
         runRecording(*rec.source, *rec.scenario, secondsToUs(5.0), config);
@@ -814,14 +729,21 @@ void BM_RunRecordingRegistry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RunRecordingRegistry)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  // The context's library_build_type is libbenchmark's own; record ours.
+  benchmark::AddCustomContext("ebbiot_build_type", EBBIOT_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -9,32 +9,18 @@ FrameFrontEnd::FrameFrontEnd(const FrontEndConfig& config)
       rpn_(config.rpn),
       cca_(config.cca),
       ebbiImage_(config.width, config.height),
-      // The incremental filter owns its output image, so the full-filter
-      // buffer is only allocated when it will actually be written.
-      filtered_(config.incrementalMedian
-                    ? BinaryImage()
-                    : BinaryImage(config.width, config.height)) {
-  if (config.incrementalMedian) {
-    incrementalMedian_.emplace(config.medianPatch);
-  }
-}
+      filtered_(config.width, config.height) {}
 
 const RegionProposals& FrameFrontEnd::process(const EventPacket& packet) {
   builder_.buildInto(packet, ebbiImage_);
   ops_.ebbi = builder_.lastOps();
-  if (incrementalMedian_.has_value()) {
-    filteredView_ = &incrementalMedian_->apply(ebbiImage_);
-    ops_.medianFilter = incrementalMedian_->lastOps();
-  } else {
-    median_.applyInto(ebbiImage_, filtered_);
-    filteredView_ = &filtered_;
-    ops_.medianFilter = median_.lastOps();
-  }
+  median_.applyInto(ebbiImage_, filtered_);
+  ops_.medianFilter = median_.lastOps();
   if (config_.rpnKind == RpnKind::kHistogram) {
-    proposals_ = &rpn_.propose(*filteredView_);
+    proposals_ = &rpn_.propose(filtered_);
     ops_.rpn = rpn_.lastOps();
   } else {
-    proposals_ = &cca_.propose(*filteredView_);
+    proposals_ = &cca_.propose(filtered_);
     ops_.rpn = cca_.lastOps();
   }
   return *proposals_;

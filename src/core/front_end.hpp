@@ -11,14 +11,11 @@
 // Fig. 5 resource comparison.
 #pragma once
 
-#include <optional>
-
 #include "src/common/op_counter.hpp"
 #include "src/detect/cca.hpp"
 #include "src/detect/histogram_rpn.hpp"
 #include "src/ebbi/ebbi_builder.hpp"
 #include "src/filters/median_filter.hpp"
-#include "src/filters/median_filter_incremental.hpp"
 
 namespace ebbiot {
 
@@ -32,10 +29,6 @@ struct FrontEndConfig {
   int width = 240;
   int height = 180;
   int medianPatch = 3;  ///< p
-  /// Use the row-diffing MedianFilterIncremental instead of the full
-  /// per-window filter.  Bit-identical output (pinned by differential
-  /// tests) and identical reported OpCounts; only wall-clock changes.
-  bool incrementalMedian = false;
   RpnKind rpnKind = RpnKind::kHistogram;
   HistogramRpnConfig rpn;
   CcaConfig cca;
@@ -67,9 +60,7 @@ class FrameFrontEnd {
   /// Intermediate products of the most recent window (for examples,
   /// debugging and tests).
   [[nodiscard]] const BinaryImage& lastEbbi() const { return ebbiImage_; }
-  [[nodiscard]] const BinaryImage& lastFiltered() const {
-    return *filteredView_;
-  }
+  [[nodiscard]] const BinaryImage& lastFiltered() const { return filtered_; }
   [[nodiscard]] const RegionProposals& lastProposals() const {
     return *proposals_;
   }
@@ -82,14 +73,10 @@ class FrameFrontEnd {
   FrontEndConfig config_;
   EbbiBuilder builder_;
   MedianFilter median_;
-  std::optional<MedianFilterIncremental> incrementalMedian_;
   HistogramRpn rpn_;
   CcaLabeler cca_;
   BinaryImage ebbiImage_;
   BinaryImage filtered_;
-  /// The active median's output: &filtered_ for the full filter, or the
-  /// incremental filter's internal image (no per-frame copy either way).
-  const BinaryImage* filteredView_ = &filtered_;
   /// View of the active proposer's reused output vector (empty_ before the
   /// first window) — no per-frame copy or allocation.
   const RegionProposals* proposals_ = &empty_;

@@ -175,9 +175,8 @@ struct FramePipelineTraits<HybridTracker> {
 
 /// Snapshot of a frame-domain pipeline: a copy of the tracker back end.
 /// The tracker is the only stage carrying information across windows —
-/// the front end's incremental median cache is rebuilt per window and
-/// is bit-identical regardless of history — so restoring the tracker
-/// restores the pipeline exactly.
+/// the front end rebuilds every image from each window alone — so
+/// restoring the tracker restores the pipeline exactly.
 template <typename Tracker>
 struct FramePipelineSnapshot final : PipelineSnapshot {
   explicit FramePipelineSnapshot(const Tracker& t) : tracker(t) {}

@@ -45,49 +45,21 @@ void RunnerConfig::validate() const {
 
 RunnerConfig makeDefaultRunnerConfig(int width, int height) {
   RunnerConfig config;
-  config.ebbiot.width = width;
-  config.ebbiot.height = height;
-  config.kalman.width = width;
-  config.kalman.height = height;
-  config.ebms.nnFilter.width = width;
-  config.ebms.nnFilter.height = height;
+  config.sensor = VariantContext{width, height};
   return config;
 }
 
-RunnerConfig makeRegistryRunnerConfig(int width, int height,
-                                      const VariantRegistry* registry) {
+RunnerConfig makeRegistryRunnerConfig(int width, int height) {
   RunnerConfig config = makeDefaultRunnerConfig(width, height);
-  config.runEbbiot = false;
-  config.runKalman = false;
-  config.runEbms = false;
-  config.registry = registry;
-  config.variants =
-      (registry != nullptr ? *registry : variantRegistry()).keys();
+  config.variants = variantRegistry().keys();
   return config;
 }
 
 std::vector<std::unique_ptr<Pipeline>> buildPipelines(
     const RunnerConfig& config) {
   std::vector<std::unique_ptr<Pipeline>> pipelines;
-  if (config.runEbbiot) {
-    pipelines.push_back(std::make_unique<EbbiotPipeline>(config.ebbiot));
-  }
-  if (config.runKalman) {
-    pipelines.push_back(std::make_unique<KalmanPipeline>(config.kalman));
-  }
-  if (config.runEbms) {
-    pipelines.push_back(std::make_unique<EbmsPipeline>(config.ebms));
-  }
-  if (!config.variants.empty()) {
-    const VariantRegistry& registry =
-        config.registry != nullptr ? *config.registry : variantRegistry();
-    // Variants share the recording's geometry; the built-in configs carry
-    // it (makeDefaultRunnerConfig / makeRegistryRunnerConfig set all
-    // three consistently).
-    const VariantContext context{config.ebbiot.width, config.ebbiot.height};
-    for (const std::string& key : config.variants) {
-      pipelines.push_back(registry.build(key, context));
-    }
+  for (const std::string& key : config.variants) {
+    pipelines.push_back(variantRegistry().build(key, config.sensor));
   }
   for (const PipelineFactory& make : config.extraPipelines) {
     EBBIOT_ASSERT(make != nullptr);
@@ -106,6 +78,15 @@ std::vector<std::unique_ptr<Pipeline>> buildPipelines(
 RunResult runRecording(EventSource& source, const SceneProvider& scene,
                        TimeUs duration, const RunnerConfig& config) {
   config.validate();
+  if (config.sensor.width != source.width() ||
+      config.sensor.height != source.height()) {
+    throw ConfigError("RunnerConfig: sensor geometry " +
+                      std::to_string(config.sensor.width) + "x" +
+                      std::to_string(config.sensor.height) +
+                      " differs from the source's " +
+                      std::to_string(source.width()) + "x" +
+                      std::to_string(source.height()));
+  }
   EBBIOT_ASSERT(duration > 0);
   EBBIOT_ASSERT(source.width() == scene.width() &&
                 source.height() == scene.height());
@@ -164,9 +145,9 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
   const int width = source.width();
   const int height = source.height();
 
-  // One window's shared inputs.  The serial and barrier modes reuse a
-  // single slot; the stage graph keeps a small ring of them so the front
-  // end can run ahead of the evaluations.
+  // One window's shared inputs.  The serial loop reuses a single slot;
+  // the stage graph keeps a small ring of them so the front end can run
+  // ahead of the evaluations.
   struct FrameSlot {
     EventPacket stream;
     EventPacket latched;
@@ -240,11 +221,10 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
   };
 
   // More threads than stages is pointless: a window has one task per
-  // pipeline, plus the overlapped front end of the next window when
-  // pipelining.
-  const int threadCount = std::min(
-      ThreadPool::resolveThreadCount(config.threads),
-      std::max(1, static_cast<int>(pipelineCount) + (config.pipelined ? 1 : 0)));
+  // pipeline, plus the overlapped front end of the next window.
+  const int threadCount =
+      std::min(ThreadPool::resolveThreadCount(config.threads),
+               static_cast<int>(pipelineCount) + 1);
 
   if (threadCount <= 1) {
     // Serial reference order: front end, then pipelines 0..P-1, per frame.
@@ -254,17 +234,6 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
       for (std::size_t i = 0; i < pipelineCount; ++i) {
         processPipeline(i, slot);
       }
-    }
-  } else if (!config.pipelined) {
-    // Per-frame fan-out with a barrier between windows.
-    ThreadPool pool(threadCount);
-    FrameSlot slot;
-    const std::function<void(std::size_t)> task = [&](std::size_t i) {
-      processPipeline(i, slot);
-    };
-    for (std::size_t frame = 0; frame < frameLimit; ++frame) {
-      frontEnd(slot);
-      pool.parallelFor(pipelineCount, task);
     }
   } else {
     // Stage graph: the front-end chain F(0) -> F(1) -> ... runs
@@ -351,18 +320,6 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
       result.pipelines[i].filteredEventsPerFrame =
           chains[i].filteredSum / static_cast<double>(result.frames);
     }
-  }
-
-  // Convenience views of the built-ins.
-  if (const PipelineRunStats* s = result.stats("EBBIOT")) {
-    result.ebbiot = *s;
-  }
-  if (const PipelineRunStats* s = result.stats("EBBI+KF")) {
-    result.kalman = *s;
-  }
-  if (const PipelineRunStats* s = result.stats("EBMS")) {
-    result.ebms = *s;
-    result.meanFilteredEventsPerFrame = s->filteredEventsPerFrame;
   }
   return result;
 }

@@ -12,20 +12,23 @@
 // per pipeline, keyed by Pipeline::name() (the empirical side of
 // Fig. 5 / Table I).
 //
-// The three paper pipelines are built-ins toggled by run* flags; further
-// variants come in two flavours:
-//   * named variants from the registry (src/core/variant_registry.hpp) —
-//     `config.variants = {"EBBINNOT", "Hybrid"}`, or every registered one
-//     at once via makeRegistryRunnerConfig();
-//   * ad-hoc one-offs through a factory:
+// Pipelines come from two lists, built in this order:
+//   * registry keys (src/core/variant_registry.hpp) — by default the
+//     paper's EBBIOT, EBBI+KF and EBMS; `config.variants = {"EBBINNOT",
+//     "Hybrid"}` picks others, makeRegistryRunnerConfig() picks them all;
+//   * factories for ad-hoc configs, including a customised built-in
+//     under its own name:
+//       config.variants = {"EBBI+KF", "EBMS"};
 //       config.extraPipelines.push_back([] {
-//         return std::make_unique<EbbiotPipeline>(myConfig, "EBBIOT-cca");
+//         EbbiotPipelineConfig c;
+//         c.tracker.minSeedArea = 6.0F;
+//         return std::make_unique<EbbiotPipeline>(c);
 //       });
+// Results are read by name: `result.stats("EBBIOT")`.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,44 +49,26 @@ struct RunnerConfig {
   TimeUs framePeriod = kDefaultFramePeriodUs;
   std::vector<float> iouThresholds = defaultIouSweep();
   GtOptions gtOptions;
-  bool runEbbiot = true;
-  bool runKalman = true;
-  bool runEbms = true;
-  EbbiotPipelineConfig ebbiot;
-  KalmanPipelineConfig kalman;
-  EbmsPipelineConfig ebms;
-  /// Registry keys of named variants to evaluate alongside the built-ins
-  /// (resolved against `registry`).  A key that duplicates an enabled
-  /// built-in's name is rejected — disable the built-in flag instead.
-  std::vector<std::string> variants;
-  /// Registry the `variants` keys resolve against; nullptr = the global
-  /// variantRegistry().  Benches sweeping ad-hoc grids point this at a
-  /// local registry.
-  const VariantRegistry* registry = nullptr;
-  /// Pipeline variants beyond the named ones, evaluated under the same
-  /// protocol.  Names must be unique across the run.
+  /// Geometry of the recording.  runRecording() rejects a source of any
+  /// other size, and every registry builder receives it.
+  VariantContext sensor;
+  /// Registry keys of the pipelines to evaluate, in run order (resolved
+  /// against the global variantRegistry()).
+  std::vector<std::string> variants = {"EBBIOT", "EBBI+KF", "EBMS"};
+  /// Pipelines beyond the registry keys, built after them and evaluated
+  /// under the same protocol.  Names must be unique across the run.
   std::vector<PipelineFactory> extraPipelines;
   /// Stop after this many frames even if the source has more (0 = run the
   /// full `duration` passed to runRecording).
   std::size_t maxFrames = 0;
-  /// Worker threads for the pipeline fan-out: each window's packet is
-  /// latched once, then the pipelines (which own all their state) are
-  /// processed and ground-truth-matched concurrently, one task per
-  /// pipeline, with stats written to per-pipeline slots.  The RunResult
-  /// is bit-identical for every thread count; run order of the reported
-  /// pipelines is unchanged.  1 = the serial loop (default); 0 = one
-  /// thread per hardware thread.
+  /// Worker threads.  1 = the serial loop (default); any other value runs
+  /// the stage graph, in which the front end of window N+1 (stream draw,
+  /// GT annotation, latch readout) overlaps the pipeline evaluations and
+  /// GT matching of window N, one task chain per pipeline; 0 = one thread
+  /// per hardware thread.  Every accumulator is owned by exactly one
+  /// chain and updated in frame order, so the RunResult is bit-identical
+  /// for every thread count; pinned by tests/test_runner_threads.cpp.
   int threads = 1;
-  /// Stage-graph execution (effective only when threads resolve to > 1):
-  /// the front end of window N+1 — stream draw, GT annotation, latch
-  /// readout — overlaps the pipeline evaluation and GT matching of
-  /// window N instead of idling at a per-frame barrier.  Every
-  /// accumulator is still owned by exactly one task chain (front-end
-  /// chain or one pipeline's chain) and updated in frame order, so the
-  /// RunResult stays bit-identical to the serial loop; pinned by
-  /// tests/test_runner_threads.cpp.  false falls back to the per-frame
-  /// fan-out with a barrier between windows.
-  bool pipelined = true;
 
   /// Throws ConfigError on any nonsensical value (non-positive frame
   /// period, empty or out-of-range IoU sweep).  runRecording() calls
@@ -113,11 +98,6 @@ struct RunResult {
   std::vector<float> thresholds;
   /// One entry per pipeline, in run order, keyed by Pipeline::name().
   std::vector<PipelineRunStats> pipelines;
-  /// The three built-ins, looked up by name — convenience views for the
-  /// paper's comparisons (absent when the pipeline was disabled).
-  std::optional<PipelineRunStats> ebbiot;
-  std::optional<PipelineRunStats> kalman;
-  std::optional<PipelineRunStats> ebms;
   std::size_t gtTracks = 0;        ///< distinct ground-truth tracks seen
   std::size_t gtBoxes = 0;         ///< total ground-truth boxes
   std::size_t frames = 0;
@@ -126,7 +106,6 @@ struct RunResult {
   double meanAlpha = 0.0;          ///< active-pixel fraction (latched frame)
   double meanBeta = 0.0;           ///< stream events per active pixel
   double meanEventsPerFrame = 0.0; ///< raw stream events per frame
-  double meanFilteredEventsPerFrame = 0.0;  ///< after NN-filt (EBMS only)
 
   /// Stats of the pipeline with this name, or nullptr if it did not run.
   [[nodiscard]] const PipelineRunStats* stats(std::string_view name) const;
@@ -137,30 +116,26 @@ struct RunResult {
       const PipelineRunStats& stats, const std::string& recordingName) const;
 };
 
-/// Instantiate every enabled pipeline of `config` (built-ins first, then
-/// extraPipelines, in order).
+/// Instantiate the pipelines of `config`: `variants` from the global
+/// registry, then `extraPipelines`, in order.  Throws LogicError on an
+/// unknown key or a duplicate name.
 [[nodiscard]] std::vector<std::unique_ptr<Pipeline>> buildPipelines(
     const RunnerConfig& config);
 
-/// Run all enabled pipelines against a source+scene for `duration`.
+/// Run the pipelines of `config` against a source+scene for `duration`.
+/// Throws ConfigError, before building anything, when `config.sensor`
+/// differs from the source's geometry.
 [[nodiscard]] RunResult runRecording(EventSource& source,
                                      const SceneProvider& scene,
                                      TimeUs duration,
                                      const RunnerConfig& config);
 
-/// Convenience: a RunnerConfig with all pipeline geometries set for the
-/// given sensor size and the paper's default parameters.
+/// A RunnerConfig for the given sensor size running the paper's three
+/// pipelines with their default parameters.
 [[nodiscard]] RunnerConfig makeDefaultRunnerConfig(int width, int height);
 
-/// A RunnerConfig that evaluates *every variant registered* in `registry`
-/// (default: the global registry) in one runRecording() call.  The
-/// built-in flags are turned off — with the global registry the
-/// built-ins still participate through their registry entries, so stats
-/// stay keyed by the same names and the RunResult convenience views
-/// (ebbiot/kalman/ebms) still populate.  With a *local* registry only
-/// its own keys run: the convenience optionals stay empty unless the
-/// registry defines those names, so look results up via stats().
-[[nodiscard]] RunnerConfig makeRegistryRunnerConfig(
-    int width, int height, const VariantRegistry* registry = nullptr);
+/// A RunnerConfig that evaluates *every variant registered* in the
+/// global registry in one runRecording() call.
+[[nodiscard]] RunnerConfig makeRegistryRunnerConfig(int width, int height);
 
 }  // namespace ebbiot

@@ -22,9 +22,9 @@
 //         return std::make_unique<EbbiotPipeline>(c, "EBBIOT-cca");
 //       });
 //
-// Benches that sweep ad-hoc parameter grids build a *local* VariantRegistry
-// (optionally seeded via registerBuiltinVariants) and point
-// RunnerConfig::registry at it, leaving the global registry untouched.
+// Ad-hoc parameter grids and customised built-ins do not register
+// anything: they enter a run as RunnerConfig::extraPipelines factories,
+// leaving the global registry untouched.
 #pragma once
 
 #include <functional>
@@ -37,9 +37,10 @@
 
 namespace ebbiot {
 
-/// Everything a variant builder may depend on at build time.  Kept small
-/// on purpose: variants own their full config; the context only carries
-/// what must match the recording being evaluated.
+/// Everything a variant builder may depend on at build time, and the
+/// sensor geometry of a RunnerConfig.  Kept small on purpose: variants
+/// own their full config; the context only carries what must match the
+/// recording being evaluated.
 struct VariantContext {
   int width = 240;   ///< sensor width of the recording
   int height = 180;  ///< sensor height of the recording
@@ -59,8 +60,8 @@ struct VariantInfo {
 /// Ordered, key-unique collection of pipeline variants.
 class VariantRegistry {
  public:
-  /// An empty registry (for bench-local sweeps and tests).  The process-
-  /// wide instance seeded with the built-ins is variantRegistry().
+  /// An empty registry (for tests).  The process-wide instance seeded
+  /// with the built-ins is variantRegistry().
   VariantRegistry() = default;
 
   /// Register a variant; throws LogicError on a duplicate key, empty key,

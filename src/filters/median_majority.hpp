@@ -1,7 +1,5 @@
-// Bit-sliced 3x3 majority kernel and Eq. (1) closed-form accounting,
-// shared by the full-frame MedianFilter and the row-diffing
-// MedianFilterIncremental (both must produce bit-identical rows, so the
-// kernel lives in exactly one place).
+// Bit-sliced 3x3 majority kernel and Eq. (1) closed-form accounting of
+// the word-parallel MedianFilter (src/filters/median_filter.cpp).
 #pragma once
 
 #include <algorithm>

@@ -16,7 +16,6 @@
 #include "src/common/rng.hpp"
 #include "src/core/front_end.hpp"
 #include "src/detect/cca_reference.hpp"
-#include "src/filters/median_filter_incremental.hpp"
 #include "src/filters/nn_filter.hpp"
 #include "src/node/sensor_session.hpp"
 #include "src/node/wire_format.hpp"
@@ -54,27 +53,22 @@ TEST(AllocationAuditTest, FrontEndSteadyStateAllocatesNothing) {
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #endif
   for (RpnKind kind : {RpnKind::kHistogram, RpnKind::kCca}) {
-    for (bool incremental : {false, true}) {
-      FrontEndConfig config;
-      config.rpnKind = kind;
-      config.incrementalMedian = incremental;
-      FrameFrontEnd frontEnd(config);
-      // Two distinct windows so the incremental median's diff path (not
-      // just its identical-frame early-out) runs in the measured loop.
-      const EventPacket packetA = denseTrafficWindow(5);
-      const EventPacket packetB = denseTrafficWindow(6);
-      (void)frontEnd.process(packetA);  // warm-up: capacities grow here
-      (void)frontEnd.process(packetB);
-      const std::uint64_t before = gAllocations.load();
-      for (int i = 0; i < 10; ++i) {
-        (void)frontEnd.process(i % 2 == 0 ? packetA : packetB);
-      }
-      const std::uint64_t after = gAllocations.load();
-      EXPECT_EQ(after - before, 0U)
-          << (kind == RpnKind::kHistogram ? "histogram" : "cca")
-          << (incremental ? " (incremental median)" : "")
-          << " front end allocated in steady state";
+    FrontEndConfig config;
+    config.rpnKind = kind;
+    FrameFrontEnd frontEnd(config);
+    // Two alternating windows, so no window repeats its predecessor.
+    const EventPacket packetA = denseTrafficWindow(5);
+    const EventPacket packetB = denseTrafficWindow(6);
+    (void)frontEnd.process(packetA);  // warm-up: capacities grow here
+    (void)frontEnd.process(packetB);
+    const std::uint64_t before = gAllocations.load();
+    for (int i = 0; i < 10; ++i) {
+      (void)frontEnd.process(i % 2 == 0 ? packetA : packetB);
     }
+    const std::uint64_t after = gAllocations.load();
+    EXPECT_EQ(after - before, 0U)
+        << (kind == RpnKind::kHistogram ? "histogram" : "cca")
+        << " front end allocated in steady state";
   }
 }
 
@@ -125,31 +119,6 @@ TEST(AllocationAuditTest, EbmsTracksPathSteadyStateAllocatesNothing) {
   }
   EXPECT_EQ(gAllocations.load() - before, 0U)
       << "EBMS tracks path allocated in steady state";
-}
-
-TEST(AllocationAuditTest, IncrementalMedianSteadyStateAllocatesNothing) {
-#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#endif
-  MedianFilterIncremental median(3);
-  Rng rng(17);
-  std::vector<BinaryImage> frames;
-  for (int f = 0; f < 3; ++f) {
-    BinaryImage img(240, 180);
-    for (int i = 0; i < 2000; ++i) {
-      img.set(static_cast<int>(rng.uniformInt(0, 239)),
-              static_cast<int>(rng.uniformInt(0, 179)), true);
-    }
-    frames.push_back(std::move(img));
-  }
-  for (const BinaryImage& f : frames) {
-    (void)median.apply(f);  // warm-up
-  }
-  const std::uint64_t before = gAllocations.load();
-  for (int i = 0; i < 12; ++i) {
-    (void)median.apply(frames[static_cast<std::size_t>(i % 3)]);
-  }
-  EXPECT_EQ(gAllocations.load() - before, 0U);
 }
 
 TEST(AllocationAuditTest, CcaLabelerSteadyStateAllocatesNothing) {

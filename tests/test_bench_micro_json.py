@@ -54,19 +54,19 @@ def healthy_raw():
         "real_time": 999.0,
         "time_unit": "ns",
     })
-    for threads in (1, 2):
-        for pipelined in (0, 1):
-            benches.append({
-                "name": f"BM_RunRecordingRegistry/{threads}/{pipelined}",
-                "run_type": "iteration",
-                "real_time": 8.0 / threads,
-                "time_unit": "us",
-            })
+    for threads in (1, 2, 4):
+        benches.append({
+            "name": f"BM_RunRecordingRegistry/{threads}",
+            "run_type": "iteration",
+            "real_time": 8.0 / threads,
+            "time_unit": "us",
+        })
     return {
         "context": {
             "date": "2026-01-01T00:00:00+00:00",
             "num_cpus": 1,
-            "library_build_type": "release",
+            "library_build_type": "debug",
+            "ebbiot_build_type": "Release",
         },
         "benchmarks": benches,
     }
@@ -119,16 +119,29 @@ class ConverterCase(unittest.TestCase):
         _, out_path = self.run_tool()
         scaling = json.loads(out_path.read_text())["thread_scaling"]
         self.assertEqual(scaling["host_cpus"], 1)
-        by_cell = {(c["threads"], c["pipelined"]): c
-                   for c in scaling["cells"]}
-        self.assertEqual(by_cell[(1, False)]["speedup_vs_serial"], 1.0)
-        self.assertEqual(by_cell[(2, False)]["speedup_vs_serial"], 2.0)
+        by_threads = {c["threads"]: c for c in scaling["cells"]}
+        self.assertEqual(sorted(by_threads), [1, 2, 4])
+        self.assertEqual(by_threads[1]["speedup_vs_serial"], 1.0)
+        self.assertEqual(by_threads[2]["speedup_vs_serial"], 2.0)
+        self.assertEqual(by_threads[4]["speedup_vs_serial"], 4.0)
+        self.assertNotIn("pipelined", by_threads[1])
+
+    def test_build_type_is_ours_not_libbenchmarks(self):
+        _, out_path = self.run_tool()
+        self.assertEqual(json.loads(out_path.read_text())["build_type"],
+                         "Release")
+
+    def test_missing_build_type_is_null(self):
+        del self.raw["context"]["ebbiot_build_type"]
+        result, out_path = self.run_tool()
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIsNone(json.loads(out_path.read_text())["build_type"])
 
     def test_time_units_normalised_to_ns(self):
         _, out_path = self.run_tool()
         out = json.loads(out_path.read_text())
         cell = next(r for r in out["benchmarks"]
-                    if r["name"] == "BM_RunRecordingRegistry/1/0")
+                    if r["name"] == "BM_RunRecordingRegistry/1")
         self.assertAlmostEqual(cell["ns_per_frame"], 8000.0)
 
     def test_steady_alloc_regression_fails(self):

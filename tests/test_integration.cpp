@@ -3,6 +3,10 @@
 // short synthetic traffic (the full-scale reproduction lives in bench/).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string_view>
+
+#include "src/common/error.hpp"
 #include "src/core/runner.hpp"
 #include "src/resource/cost_model.hpp"
 #include "src/sim/recording.hpp"
@@ -32,6 +36,13 @@ class EngShortRun : public ::testing::Test {
     recording_ = nullptr;
   }
 
+  /// Stats of one of the three pipelines every test here runs.
+  static const PipelineRunStats& stats(std::string_view name) {
+    const PipelineRunStats* found = result_->stats(name);
+    EBBIOT_ASSERT(found != nullptr);
+    return *found;
+  }
+
   static Recording* recording_;
   static RunResult* result_;
 };
@@ -40,20 +51,19 @@ Recording* EngShortRun::recording_ = nullptr;
 RunResult* EngShortRun::result_ = nullptr;
 
 TEST_F(EngShortRun, AllPipelinesProduceTracks) {
-  ASSERT_TRUE(result_->ebbiot && result_->kalman && result_->ebms);
   // At the loosest threshold every tracker must find a healthy share of
   // the ground truth.
-  EXPECT_GT(result_->ebbiot->counts[0].recall(), 0.4);
-  EXPECT_GT(result_->kalman->counts[0].recall(), 0.3);
-  EXPECT_GT(result_->ebms->counts[0].recall(), 0.15);
+  EXPECT_GT(stats("EBBIOT").counts[0].recall(), 0.4);
+  EXPECT_GT(stats("EBBI+KF").counts[0].recall(), 0.3);
+  EXPECT_GT(stats("EBMS").counts[0].recall(), 0.15);
 }
 
 TEST_F(EngShortRun, EbbiotBeatsEbmsOnF1) {
   // Fig. 4's headline: EBBIOT outperforms EBMS.  Compare mid-sweep
   // (IoU 0.3 and 0.4) F1.
   for (std::size_t i : {2U, 3U}) {
-    const double ours = result_->ebbiot->counts[i].f1();
-    const double ebms = result_->ebms->counts[i].f1();
+    const double ours = stats("EBBIOT").counts[i].f1();
+    const double ebms = stats("EBMS").counts[i].f1();
     EXPECT_GT(ours, ebms)
         << "threshold " << result_->thresholds[i];
   }
@@ -65,8 +75,8 @@ TEST_F(EngShortRun, EbbiotAtLeastMatchesKalman) {
   double oursSum = 0.0;
   double kfSum = 0.0;
   for (std::size_t i = 0; i < result_->thresholds.size(); ++i) {
-    oursSum += result_->ebbiot->counts[i].f1();
-    kfSum += result_->kalman->counts[i].f1();
+    oursSum += stats("EBBIOT").counts[i].f1();
+    kfSum += stats("EBBI+KF").counts[i].f1();
   }
   EXPECT_GE(oursSum, kfSum * 0.95);
 }
@@ -79,8 +89,8 @@ TEST_F(EngShortRun, EbbiotStablestAcrossThresholds) {
     const double mid = s.counts[4].recall();  // threshold 0.5
     return first > 0.0 ? (first - mid) / first : 1.0;
   };
-  const double oursDrop = dropOf(*result_->ebbiot);
-  const double ebmsDrop = dropOf(*result_->ebms);
+  const double oursDrop = dropOf(stats("EBBIOT"));
+  const double ebmsDrop = dropOf(stats("EBMS"));
   EXPECT_LE(oursDrop, ebmsDrop + 0.05);
 }
 
@@ -96,21 +106,21 @@ TEST_F(EngShortRun, MeasuredOpsFollowFig5Structure) {
   params.ebbi.alpha = result_->meanAlpha;
   params.nnFilt.alpha = result_->meanAlpha;
   params.nnFilt.beta = std::max(1.0, result_->meanBeta);
-  params.ebms.nF = result_->meanFilteredEventsPerFrame;
+  params.ebms.nF = stats("EBMS").filteredEventsPerFrame;
   const double modelOurs = ebbiotPipelineCost(params).computesPerFrame;
   const double modelEbms = ebmsPipelineCost(params).computesPerFrame;
   EXPECT_GT(modelEbms / modelOurs, 2.0);
 
   // Measured, implementation-independent structure:
   //  * EBBIOT's cost is frame-dominated — within 25% of its model;
-  const double oursOps = result_->ebbiot->meanOpsPerFrame();
+  const double oursOps = stats("EBBIOT").meanOpsPerFrame();
   EXPECT_NEAR(oursOps / modelOurs, 1.0, 0.25);
   //  * the front-end-dominated KF pipeline costs about the same as ours;
-  const double kfOps = result_->kalman->meanOpsPerFrame();
+  const double kfOps = stats("EBBI+KF").meanOpsPerFrame();
   EXPECT_NEAR(kfOps / oursOps, 1.0, 0.25);
   //  * the event-domain chain pays at least the NN-filt floor of
   //    2(p^2-1)+Bt = 32 ops per raw event (Eq. 2).
-  const double ebmsOps = result_->ebms->meanOpsPerFrame();
+  const double ebmsOps = stats("EBMS").meanOpsPerFrame();
   EXPECT_GT(ebmsOps, result_->meanEventsPerFrame * 32.0 * 0.9);
 }
 
@@ -127,15 +137,18 @@ TEST(IntegrationTest, Lt4SmallObjectsStillTracked) {
   const RecordingSpec spec = scaledRecording(makeSyntheticLt4(5), 0.03);
   Recording rec = openRecording(spec);
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runEbms = false;
-  config.runKalman = false;
+  config.variants.clear();
   // Smaller objects at the 6 mm lens: relax the seed gate.
-  config.ebbiot.tracker.minSeedArea = 6.0F;
+  config.extraPipelines.push_back([] {
+    EbbiotPipelineConfig ebbiot;
+    ebbiot.tracker.minSeedArea = 6.0F;
+    return std::make_unique<EbbiotPipeline>(ebbiot);
+  });
   const RunResult result =
       runRecording(*rec.source, *rec.scenario, secondsToUs(spec.durationS),
                    config);
-  ASSERT_TRUE(result.ebbiot.has_value());
-  EXPECT_GT(result.ebbiot->counts[0].recall(), 0.3);
+  ASSERT_NE(result.stats("EBBIOT"), nullptr);
+  EXPECT_GT(result.stats("EBBIOT")->counts[0].recall(), 0.3);
 }
 
 TEST(IntegrationTest, RoeSuppressesDistractorFalsePositives) {
@@ -151,20 +164,22 @@ TEST(IntegrationTest, RoeSuppressesDistractorFalsePositives) {
         DistractorRegion{BBox{190, 130, 40, 40}, 6'000.0});
     FastEventSynth synth(scene, synthConfig);
     RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-    config.runKalman = false;
-    config.runEbms = false;
-    if (useRoe) {
-      config.ebbiot.tracker.regionsOfExclusion.push_back(
-          BBox{185, 125, 50, 50});
-    }
+    config.variants.clear();
+    config.extraPipelines.push_back([useRoe] {
+      EbbiotPipelineConfig ebbiot;
+      if (useRoe) {
+        ebbiot.tracker.regionsOfExclusion.push_back(BBox{185, 125, 50, 50});
+      }
+      return std::make_unique<EbbiotPipeline>(ebbiot);
+    });
     return runRecording(synth, scene, secondsToUs(12.0), config);
   };
   const RunResult without = runWith(false);
   const RunResult with = runWith(true);
   // The ROE strictly improves precision (fewer distractor tracks) without
   // hurting recall.
-  const PrCounts& p0 = without.ebbiot->counts[1];
-  const PrCounts& p1 = with.ebbiot->counts[1];
+  const PrCounts& p0 = without.stats("EBBIOT")->counts[1];
+  const PrCounts& p1 = with.stats("EBBIOT")->counts[1];
   EXPECT_GT(p1.precision(), p0.precision());
   EXPECT_GE(p1.recall() + 0.02, p0.recall());
 }
@@ -174,7 +189,7 @@ TEST(IntegrationTest, DeterministicEndToEnd) {
     const RecordingSpec spec = scaledRecording(makeSyntheticEng(11), 0.004);
     Recording rec = openRecording(spec);
     RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-    config.runEbms = false;
+    config.variants = {"EBBIOT", "EBBI+KF"};
     return runRecording(*rec.source, *rec.scenario,
                         secondsToUs(spec.durationS), config);
   };
@@ -182,13 +197,15 @@ TEST(IntegrationTest, DeterministicEndToEnd) {
   const RunResult b = runOnce();
   EXPECT_EQ(a.streamEvents, b.streamEvents);
   EXPECT_EQ(a.gtBoxes, b.gtBoxes);
-  for (std::size_t i = 0; i < a.thresholds.size(); ++i) {
-    EXPECT_EQ(a.ebbiot->counts[i].truePositives,
-              b.ebbiot->counts[i].truePositives);
-    EXPECT_EQ(a.kalman->counts[i].truePositives,
-              b.kalman->counts[i].truePositives);
+  ASSERT_EQ(a.pipelines.size(), 2U);
+  ASSERT_EQ(b.pipelines.size(), 2U);
+  for (std::size_t p = 0; p < a.pipelines.size(); ++p) {
+    for (std::size_t i = 0; i < a.thresholds.size(); ++i) {
+      EXPECT_EQ(a.pipelines[p].counts[i].truePositives,
+                b.pipelines[p].counts[i].truePositives);
+    }
   }
-  EXPECT_EQ(a.ebbiot->totalOps, b.ebbiot->totalOps);
+  EXPECT_EQ(a.stats("EBBIOT")->totalOps, b.stats("EBBIOT")->totalOps);
 }
 
 TEST(IntegrationTest, AnalyticModelsTrackMeasuredOpsWithinFactorTwo) {
@@ -198,11 +215,10 @@ TEST(IntegrationTest, AnalyticModelsTrackMeasuredOpsWithinFactorTwo) {
   const RecordingSpec spec = scaledRecording(makeSyntheticEng(13), 0.004);
   Recording rec = openRecording(spec);
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runEbms = false;
-  config.runKalman = false;
+  config.variants = {"EBBIOT"};
   const RunResult result = runRecording(
       *rec.source, *rec.scenario, secondsToUs(spec.durationS), config);
-  const double measured = result.ebbiot->meanOpsPerFrame();
+  const double measured = result.stats("EBBIOT")->meanOpsPerFrame();
   const double model = ebbiotPipelineCost().computesPerFrame;
   EXPECT_GT(measured / model, 0.5);
   EXPECT_LT(measured / model, 2.0);

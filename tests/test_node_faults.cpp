@@ -512,7 +512,6 @@ TEST(CleanStreamEquivalenceTest, SessionLayerAddsNothingToHealthyStream) {
   EXPECT_EQ(raw.meanAlpha, viaNode.meanAlpha);
   EXPECT_EQ(raw.meanBeta, viaNode.meanBeta);
   EXPECT_EQ(raw.meanEventsPerFrame, viaNode.meanEventsPerFrame);
-  EXPECT_EQ(raw.meanFilteredEventsPerFrame, viaNode.meanFilteredEventsPerFrame);
   ASSERT_EQ(raw.pipelines.size(), viaNode.pipelines.size());
   for (std::size_t i = 0; i < raw.pipelines.size(); ++i) {
     expectSameStats(raw.pipelines[i], viaNode.pipelines[i]);

@@ -34,10 +34,10 @@ TEST(RunnerTest, RunsAllPipelinesAndCountsFrames) {
   const auto expectedFrames =
       static_cast<std::size_t>(secondsToUs(8.0) / kDefaultFramePeriodUs);
   EXPECT_EQ(result.frames, expectedFrames);
-  ASSERT_TRUE(result.ebbiot.has_value());
-  ASSERT_TRUE(result.kalman.has_value());
-  ASSERT_TRUE(result.ebms.has_value());
-  EXPECT_EQ(result.ebbiot->frames, expectedFrames);
+  ASSERT_EQ(result.pipelines.size(), 3U);
+  for (const PipelineRunStats& stats : result.pipelines) {
+    EXPECT_EQ(stats.frames, expectedFrames) << stats.name;
+  }
   EXPECT_EQ(result.thresholds, config.iouThresholds);
   EXPECT_GT(result.streamEvents, 0U);
   EXPECT_GT(result.latchedEvents, 0U);
@@ -52,7 +52,7 @@ TEST(RunnerTest, EbbiotAchievesGoodRecallOnEasyScene) {
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(8.0), config);
   // At IoU 0.3 on two clean vehicles, EBBIOT should recall most boxes.
-  const PrCounts& counts = result.ebbiot->counts[2];  // threshold 0.3
+  const PrCounts& counts = result.stats("EBBIOT")->counts[2];  // IoU 0.3
   EXPECT_GT(counts.recall(), 0.6);
   EXPECT_GT(counts.precision(), 0.6);
 }
@@ -60,13 +60,12 @@ TEST(RunnerTest, EbbiotAchievesGoodRecallOnEasyScene) {
 TEST(RunnerTest, PipelinesCanBeDisabled) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
+  config.variants = {"EBBIOT"};
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
-  EXPECT_TRUE(result.ebbiot.has_value());
-  EXPECT_FALSE(result.kalman.has_value());
-  EXPECT_FALSE(result.ebms.has_value());
+  EXPECT_NE(result.stats("EBBIOT"), nullptr);
+  EXPECT_EQ(result.stats("EBBI+KF"), nullptr);
+  EXPECT_EQ(result.stats("EBMS"), nullptr);
 }
 
 TEST(RunnerTest, StatsKeyedByPipelineName) {
@@ -82,20 +81,13 @@ TEST(RunnerTest, StatsKeyedByPipelineName) {
   ASSERT_NE(result.stats("EBBI+KF"), nullptr);
   ASSERT_NE(result.stats("EBMS"), nullptr);
   EXPECT_EQ(result.stats("nonesuch"), nullptr);
-  // The convenience views mirror the keyed entries.
-  EXPECT_EQ(result.ebbiot->totalOps, result.stats("EBBIOT")->totalOps);
-  EXPECT_EQ(result.kalman->totalOps, result.stats("EBBI+KF")->totalOps);
-  EXPECT_EQ(result.ebms->totalOps, result.stats("EBMS")->totalOps);
-  EXPECT_EQ(result.meanFilteredEventsPerFrame,
-            result.ebms->filteredEventsPerFrame);
 }
 
 TEST(RunnerTest, ExtraPipelineRegistersInOneLine) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
-  EbbiotPipelineConfig ccaVariant = config.ebbiot;
+  config.variants = {"EBBIOT"};
+  EbbiotPipelineConfig ccaVariant;
   ccaVariant.rpnKind = RpnKind::kCca;
   ccaVariant.cca.minComponentPixels = 6;
   config.extraPipelines.push_back([ccaVariant] {
@@ -115,9 +107,9 @@ TEST(RunnerTest, ExtraPipelineRegistersInOneLine) {
 TEST(RunnerTest, DuplicatePipelineNamesRejected) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  const EbbiotPipelineConfig dup = config.ebbiot;
+  // A customised built-in must replace its registry key, not join it.
   config.extraPipelines.push_back(
-      [dup] { return std::make_unique<EbbiotPipeline>(dup); });
+      [] { return std::make_unique<EbbiotPipeline>(EbbiotPipelineConfig{}); });
   EXPECT_THROW(
       (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
       LogicError);
@@ -141,9 +133,12 @@ TEST(RunnerTest, MeanStatsPopulated) {
   EXPECT_LT(result.meanAlpha, 0.2);
   EXPECT_GE(result.meanBeta, 1.0);
   EXPECT_GT(result.meanEventsPerFrame, 0.0);
-  EXPECT_GT(result.meanFilteredEventsPerFrame, 0.0);
-  EXPECT_LT(result.meanFilteredEventsPerFrame, result.meanEventsPerFrame);
-  EXPECT_GT(result.ebbiot->meanOpsPerFrame(), 0.0);
+  const PipelineRunStats* ebms = result.stats("EBMS");
+  ASSERT_NE(ebms, nullptr);
+  EXPECT_GT(ebms->filteredEventsPerFrame, 0.0);
+  EXPECT_LT(ebms->filteredEventsPerFrame, result.meanEventsPerFrame);
+  EXPECT_EQ(result.stats("EBBIOT")->filteredEventsPerFrame, 0.0);
+  EXPECT_GT(result.stats("EBBIOT")->meanOpsPerFrame(), 0.0);
 }
 
 TEST(RunnerTest, ToRecordingResultCarriesWeights) {
@@ -152,7 +147,7 @@ TEST(RunnerTest, ToRecordingResultCarriesWeights) {
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(4.0), config);
   const RecordingResult rec =
-      result.toRecordingResult(*result.ebbiot, "unit");
+      result.toRecordingResult(*result.stats("EBBIOT"), "unit");
   EXPECT_EQ(rec.name, "unit");
   EXPECT_EQ(rec.gtTracks, result.gtTracks);
   EXPECT_EQ(rec.thresholds, result.thresholds);
@@ -166,6 +161,25 @@ TEST(RunnerTest, GeometryMismatchRejected) {
   EXPECT_THROW(
       (void)runRecording(*fix.synth, other, secondsToUs(1.0), config),
       LogicError);
+}
+
+// A config sized for another sensor is rejected before any pipeline is
+// built: a smaller source would otherwise be scored with the config's
+// frame size, and a larger one would fail mid-run.
+TEST(RunnerTest, SourceSmallerThanConfigRejected) {
+  ScriptedScene scene(128, 128);
+  FastEventSynth synth(scene, EventSynthConfig{});
+  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  EXPECT_THROW((void)runRecording(synth, scene, secondsToUs(1.0), config),
+               ConfigError);
+}
+
+TEST(RunnerTest, SourceLargerThanConfigRejected) {
+  ScriptedScene scene(320, 240);
+  FastEventSynth synth(scene, EventSynthConfig{});
+  const RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  EXPECT_THROW((void)runRecording(synth, scene, secondsToUs(1.0), config),
+               ConfigError);
 }
 
 TEST(RunnerTest, ZeroDurationRejected) {

@@ -1,13 +1,13 @@
-// Determinism of the multithreaded runner: runRecording must reproduce
+// Determinism of the multithreaded runner: the stage graph must reproduce
 // the serial RunResult *exactly* (counts, ops, stream stats, every
-// pipeline of the full variant registry) for every thread count and for
-// pipelined (stage-graph) and barrier execution alike, because each
-// accumulator is owned by exactly one task chain and updated in frame
-// order — only which OS thread executes a task varies.
+// pipeline of the full variant registry) for every thread count, because
+// each accumulator is owned by exactly one task chain and updated in
+// frame order — only which OS thread executes a task varies.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "src/common/error.hpp"
 #include "src/core/runner.hpp"
 #include "src/sim/event_synth.hpp"
 #include "src/sim/scene.hpp"
@@ -63,30 +63,25 @@ void expectRunResultsEqual(const RunResult& a, const RunResult& b) {
 TEST(RunnerThreadsTest, EveryThreadCountAndModeReproducesSerialExactly) {
   // Full registry: all named variants run in one call, maximising the
   // chance any cross-pipeline interference would surface.  Sweep
-  // {pipelined off/on} x {1, 2, 4, 0 = hardware} threads against the
-  // serial baseline — every cell must be bit-identical.
+  // {1, 2, 4, 0 = hardware} threads against the serial baseline — every
+  // cell must be bit-identical.
   constexpr double kSeconds = 2.0;
   RunnerConfig serial = makeRegistryRunnerConfig(240, 180);
   serial.threads = 1;
-  serial.pipelined = false;
 
   Fixture fixSerial;
   const RunResult baseline = runRecording(*fixSerial.synth, fixSerial.scene,
                                           secondsToUs(kSeconds), serial);
   ASSERT_GT(baseline.pipelines.size(), 1U);
 
-  for (const bool pipelined : {false, true}) {
-    for (const int threads : {1, 2, 4, 0}) {
-      RunnerConfig config = serial;
-      config.threads = threads;
-      config.pipelined = pipelined;
-      Fixture fix;
-      const RunResult run = runRecording(*fix.synth, fix.scene,
-                                         secondsToUs(kSeconds), config);
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " pipelined=" << pipelined);
-      expectRunResultsEqual(baseline, run);
-    }
+  for (const int threads : {1, 2, 4, 0}) {
+    RunnerConfig config = serial;
+    config.threads = threads;
+    Fixture fix;
+    const RunResult run = runRecording(*fix.synth, fix.scene,
+                                       secondsToUs(kSeconds), config);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expectRunResultsEqual(baseline, run);
   }
 }
 
@@ -106,13 +101,34 @@ TEST(RunnerThreadsTest, ThreadsZeroMeansHardwareConcurrency) {
 TEST(RunnerThreadsTest, MoreThreadsThanPipelinesIsFine) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
+  config.variants = {"EBBIOT"};
   config.threads = 16;  // 1 pipeline; the fan-out clamps to useful width
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config);
-  ASSERT_TRUE(result.ebbiot.has_value());
-  EXPECT_GT(result.ebbiot->frames, 0U);
+  ASSERT_EQ(result.pipelines.size(), 1U);
+  EXPECT_GT(result.pipelines[0].frames, 0U);
+}
+
+TEST(RunnerThreadsTest, PipelineErrorRethrowsAtEveryThreadCount) {
+  // A pipeline sized for a smaller sensor fails on the first window of
+  // the 240x180 fixture.  The serial loop throws directly; the stage
+  // graph drains every outstanding task of the other chains first, then
+  // rethrows the same error — it must neither hang nor swallow it.
+  for (const int threads : {1, 2, 4}) {
+    Fixture fix;
+    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    config.threads = threads;
+    config.extraPipelines.push_back([] {
+      EbbiotPipelineConfig small;
+      small.width = 120;
+      small.height = 90;
+      return std::make_unique<EbbiotPipeline>(small, "EBBIOT-120x90");
+    });
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_THROW(
+        (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
+        LogicError);
+  }
 }
 
 }  // namespace

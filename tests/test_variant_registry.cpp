@@ -105,10 +105,10 @@ TEST(VariantRegistryRunnerTest, OneRunEvaluatesEveryRegisteredVariant) {
     EXPECT_GT(stats.totalOps.total(), 0U) << stats.name;
     EXPECT_EQ(stats.counts.size(), config.iouThresholds.size());
   }
-  // The convenience views keep working because the registry names match.
-  ASSERT_TRUE(result.ebbiot.has_value());
-  ASSERT_TRUE(result.kalman.has_value());
-  ASSERT_TRUE(result.ebms.has_value());
+  // The paper's three are registry entries like any other.
+  EXPECT_NE(result.stats("EBBIOT"), nullptr);
+  EXPECT_NE(result.stats("EBBI+KF"), nullptr);
+  EXPECT_NE(result.stats("EBMS"), nullptr);
   // The extension variants track the easy scene too.
   const PipelineRunStats* nn = result.stats("EBBINNOT");
   const PipelineRunStats* hybrid = result.stats("Hybrid");
@@ -121,9 +121,7 @@ TEST(VariantRegistryRunnerTest, OneRunEvaluatesEveryRegisteredVariant) {
 TEST(VariantRegistryRunnerTest, NamedVariantsRideAlongBuiltins) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.runKalman = false;
-  config.runEbms = false;
-  config.variants = {"Hybrid", "EBBINNOT"};
+  config.variants = {"EBBIOT", "Hybrid", "EBBINNOT"};
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
   ASSERT_EQ(result.pipelines.size(), 3U);
@@ -133,20 +131,18 @@ TEST(VariantRegistryRunnerTest, NamedVariantsRideAlongBuiltins) {
 }
 
 TEST(VariantRegistryRunnerTest, LocalRegistrySweepsAdHocGrid) {
+  // Ad-hoc grids run as factories; nothing is registered.
   Fixture fix;
-  VariantRegistry local;
+  RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+  config.variants.clear();
   for (int s1 : {3, 6}) {
-    const std::string key = "EBBIOT-s" + std::to_string(s1);
-    local.add(key, "downsample ablation point",
-              [key, s1](const VariantContext& ctx) {
-                EbbiotPipelineConfig c;
-                c.width = ctx.width;
-                c.height = ctx.height;
-                c.rpn.s1 = s1;
-                return std::make_unique<EbbiotPipeline>(c, key);
-              });
+    config.extraPipelines.push_back([s1] {
+      EbbiotPipelineConfig c;
+      c.rpn.s1 = s1;
+      return std::make_unique<EbbiotPipeline>(
+          c, "EBBIOT-s" + std::to_string(s1));
+    });
   }
-  const RunnerConfig config = makeRegistryRunnerConfig(240, 180, &local);
   const RunResult result =
       runRecording(*fix.synth, fix.scene, secondsToUs(2.0), config);
   ASSERT_EQ(result.pipelines.size(), 2U);
@@ -159,7 +155,7 @@ TEST(VariantRegistryRunnerTest, LocalRegistrySweepsAdHocGrid) {
 TEST(VariantRegistryRunnerTest, VariantDuplicatingBuiltinRejected) {
   Fixture fix;
   RunnerConfig config = makeDefaultRunnerConfig(240, 180);
-  config.variants = {"EBBIOT"};  // clashes with the enabled built-in
+  config.variants.push_back("EBBIOT");  // clashes with the default entry
   EXPECT_THROW(
       (void)runRecording(*fix.synth, fix.scene, secondsToUs(1.0), config),
       LogicError);

@@ -14,11 +14,14 @@ Each benchmark becomes {"name", "ns_per_frame", "ops_per_frame",
 counters).  CI runs this every build so the history of the word-parallel
 hot path stays measurable; stdlib only, no dependencies.
 
-The BM_RunRecordingRegistry/<threads>/<pipelined> grid is additionally
-summarised into a "thread_scaling" section: one row per (threads,
-pipelined) cell with its speedup over the serial threads=1 /
-pipelined=0 cell, plus the host CPU count so a 1.0x row on a
-single-core host reads as parity, not a regression.
+The BM_RunRecordingRegistry/<threads> grid is additionally summarised
+into a "thread_scaling" section: one row per thread count with its
+speedup over the serial threads=1 cell, plus the host CPU count so a
+1.0x row on a single-core host reads as parity, not a regression.
+
+"build_type" is the project's CMAKE_BUILD_TYPE, which bench_micro_stages
+records as the ebbiot_build_type context key (null when absent), not
+libbenchmark's own library_build_type.
 
 With --fail-on-steady-allocs the script exits non-zero (after writing the
 JSON) if any stage pinned allocation-free in steady state reports
@@ -48,9 +51,6 @@ STEADY_STATE_BENCHES = frozenset(
         "BM_EbbiBuild",
         "BM_MedianFilter",
         "BM_MedianFilterReference",
-        "BM_MedianFilterIncremental",
-        "BM_MedianFilterStableScene",
-        "BM_MedianFilterIncrementalStableScene",
         "BM_DownsampleAndHistogram",
         "BM_HistogramRpn",
         "BM_CcaRpn",
@@ -72,9 +72,6 @@ OPS_PINNED_BENCHES = (
     "BM_EbbiBuild",
     "BM_MedianFilter",
     "BM_MedianFilterReference",
-    "BM_MedianFilterIncremental",
-    "BM_MedianFilterStableScene",
-    "BM_MedianFilterIncrementalStableScene",
     "BM_DownsampleAndHistogram",
     "BM_HistogramRpn",
     "BM_CcaRpn",
@@ -177,37 +174,34 @@ def write_ops_baseline(records, baseline_path):
 
 
 def thread_scaling_section(records, host_cpus):
-    """Summarise the BM_RunRecordingRegistry/<threads>/<pipelined> grid.
+    """Summarise the BM_RunRecordingRegistry/<threads> grid.
 
-    Speedups are relative to the serial threads=1 / pipelined=0 cell.
-    On a single-core host every cell sits near 1.0x (the runner clamps
-    to the hardware) — host_cpus is recorded so readers can tell parity
-    from regression.
+    Speedups are relative to the serial threads=1 cell.  On a
+    single-core host every cell sits near 1.0x (the runner clamps to the
+    hardware) — host_cpus is recorded so readers can tell parity from
+    regression.
     """
     cells = []
     for record in records:
         parts = record["name"].split("/")
-        if parts[0] != "BM_RunRecordingRegistry" or len(parts) != 3:
+        if parts[0] != "BM_RunRecordingRegistry" or len(parts) != 2:
             continue
         cells.append(
             {
                 "threads": int(parts[1]),
-                "pipelined": bool(int(parts[2])),
                 "ns_per_run": record["ns_per_frame"],
             }
         )
     if not cells:
         return None
-    serial = next(
-        (c for c in cells if c["threads"] == 1 and not c["pipelined"]), None
-    )
+    serial = next((c for c in cells if c["threads"] == 1), None)
     for cell in cells:
         cell["speedup_vs_serial"] = (
             round(serial["ns_per_run"] / cell["ns_per_run"], 3)
             if serial
             else None
         )
-    cells.sort(key=lambda c: (c["threads"], c["pipelined"]))
+    cells.sort(key=lambda c: c["threads"])
     return {"benchmark": "BM_RunRecordingRegistry",
             "host_cpus": host_cpus,
             "cells": cells}
@@ -257,7 +251,7 @@ def main() -> int:
         "schema": "ebbiot-bench-micro/1",
         "date": context.get("date"),
         "host_cpus": context.get("num_cpus"),
-        "build_type": context.get("library_build_type"),
+        "build_type": context.get("ebbiot_build_type"),
         "benchmarks": records,
     }
     scaling = thread_scaling_section(records, context.get("num_cpus"))
