@@ -76,7 +76,8 @@ class FrameBank {
     for (int i = 0; i < 64; ++i) {
       EventPacket stream = rec.source->nextWindow(kDefaultFramePeriodUs);
       EventPacket latched = latchReadout(stream, 240, 180);
-      BinaryImage ebbi = builder.build(latched);
+      BinaryImage ebbi(240, 180);
+      builder.buildInto(latched, ebbi);
       BinaryImage filtered = median.apply(ebbi);
       proposals_.push_back(rpn.propose(filtered));
       stream_.push_back(std::move(stream));
@@ -432,13 +433,12 @@ BENCHMARK(BM_NnFilterDenseNoiseReference);
 constexpr std::size_t kEbmsWindowCycle = 8;
 
 void BM_EbmsTracker(benchmark::State& state) {
-  // The batched SoA fast path, including the per-window tracks readout
-  // into a reused vector: the whole loop is allocation-free once warm
-  // (SoA arrays and history rings are sized at construction).  On the
-  // paper's ENG default (CLmax = 8, 30 px capture radius) the per-event
-  // mean-shift dependency chain dominates and the scalar reference sits
-  // at nearly the same wall-clock; BM_EbmsTrackerCrowded below is the
-  // regime the batching is built for.
+  // The SoA fast path, including the per-window tracks readout into a
+  // reused vector: the whole loop is allocation-free once warm (SoA
+  // arrays and history rings are sized at construction).  On the paper's
+  // ENG default (CLmax = 8, 30 px capture radius) the per-event
+  // mean-shift dependency chain dominates, as it does in the scalar
+  // reference.
   FrameBank& bank = FrameBank::instance();
   EbmsTracker tracker{EbmsConfig{}};
   Tracks tracks;
@@ -522,10 +522,9 @@ EbmsConfig crowdedEbmsConfig() {
 }
 
 void BM_EbmsTrackerCrowded(benchmark::State& state) {
-  // 64 live clusters: the capture grid hands each event 1-2 candidates
-  // instead of a 64-cluster scan, which is where the SoA fast path pulls
-  // away from the scalar reference (same differential pinning applies —
-  // the tests cover merge/prune/velocity at these configs too).
+  // ~56 live clusters: Eq. (8)'s NF * CLmax scan term dominates, and the
+  // fast path scans every live cluster per event, as the reference does
+  // (tests/test_ebms_soa.cpp pins the two at this config).
   static const std::vector<EventPacket> windows = crowdedWindows();
   EbmsTracker tracker{crowdedEbmsConfig()};
   Tracks tracks;
@@ -569,10 +568,8 @@ BENCHMARK(BM_EbmsTrackerCrowdedReference);
 
 /// ENG-like windows saturating CLmax = 8: eight well-separated blobs on
 /// the 240x180 sensor with events interleaved round-robin in time, plus
-/// salt noise.  Consecutive events almost always belong to *different*
-/// clusters, so the sequential per-event loop stalls on a different
-/// cluster's mean-shift chain each event while the grouped path runs the
-/// eight chains back to back — the overlapped-chain regime.
+/// salt noise: every CLmax slot owned by a tracked object, the engaged
+/// tracking regime.
 std::vector<EventPacket> engClusterWindows(int noiseEvents) {
   Rng rng(13);
   std::vector<EventPacket> windows;
@@ -582,9 +579,8 @@ std::vector<EventPacket> engClusterWindows(int noiseEvents) {
     EventPacket p(static_cast<TimeUs>(w) * 66'000,
                   static_cast<TimeUs>(w + 1) * 66'000);
     // Sensor-realistic arrival: each object's events reach the packet in
-    // bursts (readout locality), so the sequential scan sees runs of
-    // consecutive captures whose EMA updates form one dependent chain —
-    // the serialisation the grouped phase-B replay exists to overlap.
+    // bursts (readout locality), so consecutive captures usually update
+    // the same cluster.
     for (int i = 0; i < 6; ++i) {
       for (int b = 0; b < 8; ++b) {
         for (int k = 0; k < 25; ++k) {

@@ -368,10 +368,6 @@ class EbmsPipeline final : public Pipeline {
   [[nodiscard]] EbmsTracker& tracker() { return tracker_; }
   [[nodiscard]] const EbmsPipelineConfig& config() const { return config_; }
 
-  /// Tracks of the most recent window without the interface's by-value
-  /// copy (valid until the next processWindow call).
-  [[nodiscard]] const Tracks& lastTracks() const { return tracks_; }
-
  private:
   EbmsPipelineConfig config_;
   std::string name_;

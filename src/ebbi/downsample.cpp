@@ -45,12 +45,6 @@ Downsampler::Downsampler(int s1, int s2) : s1_(s1), s2_(s2) {
   EBBIOT_ASSERT(s1 >= 1 && s2 >= 1);
 }
 
-CountImage Downsampler::downsample(const BinaryImage& image) {
-  CountImage out;
-  downsampleInto(image, out);
-  return out;
-}
-
 void Downsampler::downsampleInto(const BinaryImage& image, CountImage& out) {
   const int outW = image.width() / s1_;
   const int outH = image.height() / s2_;

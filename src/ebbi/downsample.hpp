@@ -59,12 +59,8 @@ class Downsampler {
   [[nodiscard]] int s1() const { return s1_; }
   [[nodiscard]] int s2() const { return s2_; }
 
-  /// Downsample per Eq. (3).  Output size is floor(W/s1) x floor(H/s2).
-  [[nodiscard]] CountImage downsample(const BinaryImage& image);
-
-  /// Downsample into a reusable output image (reshaped as needed); avoids
-  /// the per-frame allocation of the by-value overload in steady-state
-  /// loops.
+  /// Downsample per Eq. (3) into a reusable output image, reshaped to
+  /// floor(W/s1) x floor(H/s2) as needed.
   void downsampleInto(const BinaryImage& image, CountImage& out);
 
   /// Ops performed by the most recent call (one add per source pixel read

@@ -9,12 +9,6 @@ EbbiBuilder::EbbiBuilder(int width, int height)
   EBBIOT_ASSERT(width > 0 && height > 0);
 }
 
-BinaryImage EbbiBuilder::build(const EventPacket& packet) {
-  BinaryImage image(width_, height_);
-  buildInto(packet, image);
-  return image;
-}
-
 void EbbiBuilder::buildInto(const EventPacket& packet, BinaryImage& image) {
   EBBIOT_ASSERT(image.width() == width_ && image.height() == height_);
   ops_.reset();

@@ -18,19 +18,16 @@ class EbbiBuilder {
  public:
   EbbiBuilder(int width, int height);
 
-  /// Build an EBBI from one frame-window packet.  Every event sets its
-  /// pixel; duplicates are idempotent (the latch semantics of the sensor).
-  /// The writes also populate the image's conservative row-occupancy
-  /// bitset: because buildInto clears first, the bitset (and the
-  /// occupiedRowSpan() derived from it) is *exactly* the dirty row band
-  /// touched by this window's events.  The image carries that band to the
-  /// downstream word-parallel stages — MedianFilter, Downsampler and the
-  /// CCA labeller seed their row loops from it, so quiet scenes skip
-  /// untouched rows instead of rediscovering occupancy every frame.
-  [[nodiscard]] BinaryImage build(const EventPacket& packet);
-
-  /// Build into an existing image (cleared first); avoids reallocation in
-  /// the steady-state pipeline loop.
+  /// Build an EBBI from one frame-window packet into an existing image
+  /// (cleared first).  Every event sets its pixel; duplicates are
+  /// idempotent (the latch semantics of the sensor).  The writes also
+  /// populate the image's conservative row-occupancy bitset: because the
+  /// image is cleared first, the bitset (and the occupiedRowSpan() derived
+  /// from it) is *exactly* the dirty row band touched by this window's
+  /// events.  The image carries that band to the downstream word-parallel
+  /// stages — MedianFilter, Downsampler and the CCA labeller seed their
+  /// row loops from it, so quiet scenes skip untouched rows instead of
+  /// rediscovering occupancy every frame.
   void buildInto(const EventPacket& packet, BinaryImage& image);
 
   /// Per-polarity variant: returns the combined EBBI and fills onImage /

@@ -5,12 +5,6 @@
 
 namespace ebbiot {
 
-HistogramPair HistogramBuilder::build(const CountImage& image) {
-  HistogramPair out;
-  buildInto(image, out);
-  return out;
-}
-
 void HistogramBuilder::buildInto(const CountImage& image, HistogramPair& out) {
   ops_.reset();
   out.hx.assign(static_cast<std::size_t>(image.width()), 0);
@@ -24,13 +18,6 @@ void HistogramBuilder::buildInto(const CountImage& image, HistogramPair& out) {
     }
   }
   ops_.memWrites += out.hx.size() + out.hy.size();
-}
-
-std::vector<HistogramRun> findRuns(const std::vector<std::uint32_t>& histogram,
-                                   std::uint32_t threshold, int maxGap) {
-  std::vector<HistogramRun> runs;
-  findRunsInto(histogram, threshold, maxGap, runs);
-  return runs;
 }
 
 void findRunsInto(const std::vector<std::uint32_t>& histogram,

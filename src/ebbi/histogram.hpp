@@ -23,11 +23,9 @@ struct HistogramPair {
 
 class HistogramBuilder {
  public:
-  /// Column/row sums of the count image.
-  [[nodiscard]] HistogramPair build(const CountImage& image);
-
-  /// Column/row sums into a reusable pair (steady-state loops reuse the
-  /// bin vectors' capacity instead of allocating per frame).
+  /// Column/row sums of the count image into a reusable pair
+  /// (steady-state loops reuse the bin vectors' capacity instead of
+  /// allocating per frame).
   void buildInto(const CountImage& image, HistogramPair& out);
 
   /// Ops of the most recent build (two adds per cell + one write per bin).
@@ -49,14 +47,10 @@ struct HistogramRun {
   friend bool operator==(const HistogramRun&, const HistogramRun&) = default;
 };
 
-/// Find maximal runs of bins >= threshold (paper threshold: 1).
-/// `maxGap` merges runs separated by fewer than maxGap below-threshold bins
-/// (0 = exact contiguity as in the paper).
-[[nodiscard]] std::vector<HistogramRun> findRuns(
-    const std::vector<std::uint32_t>& histogram, std::uint32_t threshold,
-    int maxGap = 0);
-
-/// findRuns into a reusable output vector (cleared first).
+/// Find maximal runs of bins >= threshold (paper threshold: 1) into a
+/// reusable output vector (cleared first).  `maxGap` merges runs
+/// separated by fewer than maxGap below-threshold bins (0 = exact
+/// contiguity as in the paper).
 void findRunsInto(const std::vector<std::uint32_t>& histogram,
                   std::uint32_t threshold, int maxGap,
                   std::vector<HistogramRun>& out);

@@ -19,35 +19,15 @@
 //   * recompute velocity by least-squares regression over the last 10
 //     sampled positions (the paper's stated velocity estimator).
 //
-// This class is the *batched structure-of-arrays fast path*: cluster
-// state lives in parallel arrays sized CLmax at construction (positions,
-// MADs, support, timestamps, velocity), and the per-event scan runs over
-// those small arrays with the config hoisted into registers.  A coarse
-// *capture grid* (32 px cells -> bitmask of clusters whose capture
-// region, padded by a drift slack, can reach the cell) turns the
-// capture-region early-exit into a per-cell candidate set: an event
-// whose cell mask is empty can be captured by nothing and skips the
-// scan entirely; otherwise only the masked clusters are tested — the
-// argmin over that conservative superset equals the reference's full
-// scan, bit for bit.  The position history is a fixed-capacity ring per
-// cluster with running regression sums (see ebms_common.hpp), so the
-// velocity fit is O(1) per sample and per maintain instead of
-// O(window) per maintain — and the whole tracker allocates nothing
-// after construction.
-//
-// processPacket additionally *overlaps independent cluster update
-// chains*: the captured-update recurrences (MAD EMA + mean-shift) of
-// distinct clusters share no state, but the sequential loop serialises
-// them because each event's capture test reads the positions the
-// previous update just stored.  The grouped path resolves a run of
-// events to clusters up front against group-start position snapshots,
-// admitting an event only when the snapshot plus a worst-case drift
-// bound proves the sequential scan would pick the same single cluster
-// (everything else — seeds, marginal-radius events, drift-budget
-// exhaustion — flushes the group and replays through the exact scalar
-// step).  The per-cluster chains then run back to back with no
-// decision logic between them, so the out-of-order core overlaps the
-// CLmax = 8 chains instead of draining one EMA latency per event.
+// This class is the *structure-of-arrays fast path*: cluster state lives
+// in parallel arrays sized CLmax at construction (positions, MADs,
+// support, timestamps, velocity), and the per-event argmin scans the live
+// clusters in index order with the config hoisted into registers — the
+// scan the reference runs and Eq. (8) charges for.  The position history
+// is a fixed-capacity ring per cluster with running regression sums (see
+// ebms_common.hpp), so the velocity fit is O(1) per sample and per
+// maintain instead of O(window) per maintain — and the whole tracker
+// allocates nothing after construction.
 //
 // The scalar deque-based formulation is kept as EbmsTrackerReference
 // (ebms_reference.hpp); differential tests pin this class bit-identical
@@ -130,15 +110,14 @@ class EbmsTracker {
     float radius;
     float mixing;
     float smoothing;
-    float driftLimit;  ///< gridSlack_ - 1 px: re-anchor beyond this drift
     TimeUs sampleInterval;
     int maxClusters;
   };
 
   [[nodiscard]] HotConfig hotConfig() const {
-    return {config_.captureRadius,          config_.mixingFactor,
-            config_.sizeSmoothing,          gridSlack_ - 1.0F,
-            config_.positionSampleInterval, config_.maxClusters};
+    return {config_.captureRadius, config_.mixingFactor,
+            config_.sizeSmoothing, config_.positionSampleInterval,
+            config_.maxClusters};
   }
 
   /// Per-packet tallies of the event loop, kept in the caller's frame so
@@ -151,27 +130,12 @@ class EbmsTracker {
   // always_inline: GCC's size heuristics refuse to inline the event body
   // into the packet loop on their own, leaving a per-event call (and the
   // tally in memory instead of registers) that costs more than the
-  // candidate scan itself.
+  // cluster scan itself.
   [[gnu::always_inline]] inline void eventStep(const Event& event,
                                                const HotConfig& hot,
                                                Tally& tally);
-  // The captured-event update sequence, shared verbatim by eventStep and
-  // the grouped phase-B path so both produce the identical float stream.
-  [[gnu::always_inline]] inline void applyCapture(int best, float px,
-                                                  float py, TimeUs t,
-                                                  const HotConfig& hot);
-  // Overlapped cluster chains (grid-enabled configs): resolve a run of
-  // events to clusters against group-start snapshots (phase A), then
-  // apply each cluster's mean-shift/MAD updates as its own dependency
-  // chain (phase B).  Falls back to eventStep for any event whose
-  // assignment is not provably identical to the sequential scan (seeds,
-  // marginal-radius events, drift-budget exhaustion).  Bit-identical to
-  // the reference by construction; see processPacketGrouped's comment.
-  void processPacketGrouped(const EventPacket& packet, const HotConfig& hot,
-                            Tally& tally);
   void chargeEventOps(const Tally& tally);
-  void capturedSlowPath(int b, TimeUs t, float nx, float ny, bool sample,
-                        bool rebuild);
+  void sampleCaptured(int i, TimeUs t, float x, float y);
   void seedCluster(float px, float py, TimeUs t);
   void pushSample(int i, TimeUs t, float x, float y);
   void maintain(TimeUs now);
@@ -179,8 +143,6 @@ class EbmsTracker {
   void refreshVelocity(int i);
   void eraseCluster(int i);
   void copyClusterIdentity(int from, int to);
-  void rebuildGrid();
-  [[nodiscard]] static int cellIndex(float v);
   [[nodiscard]] BBox boxOf(int i) const;
   [[nodiscard]] Track trackOf(int i) const;
 
@@ -211,33 +173,6 @@ class EbmsTracker {
   std::vector<std::int64_t> histQy_;
 
   std::vector<BBox> boxes_;  ///< merge-pass box cache (reused scratch)
-
-  // Capture grid: 32-px cells over [0, 2048)^2 px (coordinates beyond
-  // clamp into the edge cells on both the cluster and the event side, so
-  // the candidate masks stay conservative for any uint16 coordinate).
-  // Cell masks hold clusters whose capture region padded by gridSlack_
-  // can reach the cell at *grid-build* positions (anchors); the grid is
-  // rebuilt whenever a cluster drifts within 1 px of the slack, on
-  // seeding, and after each maintain — so between rebuilds a cluster
-  // missing from a cell's mask provably cannot capture events there.
-  // Disabled (full scan fallback) when maxClusters exceeds the 64-bit
-  // mask width.
-  static constexpr int kGridShift = 5;
-  static constexpr int kGridDim = 64;
-  bool gridEnabled_ = false;
-  /// Drift slack of the cell masks, px: half the capture radius (floored
-  /// at 8) trades registration reach against rebuild rate.
-  float gridSlack_ = 8.0F;
-  std::vector<std::uint64_t> grid_;  ///< kGridDim^2 cell masks
-  std::vector<float> anchorX_;       ///< positions at the last rebuild
-  std::vector<float> anchorY_;
-  // Cell rectangle registered by the last rebuild — the only part of the
-  // grid that needs clearing on the next one (clusters cover a small
-  // corner of the 2048-px grid range on real sensors).
-  int dirtyX0_ = 0;
-  int dirtyX1_ = -1;
-  int dirtyY0_ = 0;
-  int dirtyY1_ = -1;
 
   std::uint32_t nextId_ = 1;
   std::uint64_t mergeCount_ = 0;

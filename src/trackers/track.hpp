@@ -12,7 +12,9 @@ namespace ebbiot {
 struct Track {
   std::uint32_t id = 0;      ///< stable across frames while the track lives
   BBox box;                  ///< current estimate, full-resolution px
-  Vec2f velocity;            ///< px per frame
+  /// Frame-domain trackers (OT, KF, hybrid): px per frame.  EBMS: px/s,
+  /// because its least-squares fit runs on event time (ebms_common.hpp).
+  Vec2f velocity;
   int age = 0;               ///< frames since the track was seeded
   int hits = 0;              ///< frames with a matched measurement
   int misses = 0;            ///< consecutive frames without a measurement

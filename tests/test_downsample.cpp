@@ -20,7 +20,8 @@ TEST(CountImageTest, AccessAndMass) {
 TEST(DownsamplerTest, PaperGeometry240x180By6x3) {
   BinaryImage img(240, 180);
   Downsampler down(6, 3);
-  const CountImage out = down.downsample(img);
+  CountImage out;
+  down.downsampleInto(img, out);
   EXPECT_EQ(out.width(), 40);   // floor(240/6)
   EXPECT_EQ(out.height(), 60);  // floor(180/3)
 }
@@ -36,7 +37,8 @@ TEST(DownsamplerTest, BlockSumsMatchEq3) {
   // One extra pixel in block (0, 1).
   img.set(2, 4, true);
   Downsampler down(6, 3);
-  const CountImage out = down.downsample(img);
+  CountImage out;
+  down.downsampleInto(img, out);
   EXPECT_EQ(out.at(1, 0), 18);
   EXPECT_EQ(out.at(0, 1), 1);
   EXPECT_EQ(out.at(0, 0), 0);
@@ -50,7 +52,8 @@ TEST(DownsamplerTest, TrailingPixelsDropped) {
   img.set(0, 6, true);   // outside any full block
   img.set(0, 0, true);   // inside block (0,0)
   Downsampler down(6, 3);
-  const CountImage out = down.downsample(img);
+  CountImage out;
+  down.downsampleInto(img, out);
   EXPECT_EQ(out.width(), 2);
   EXPECT_EQ(out.height(), 2);
   EXPECT_EQ(out.totalMass(), 1U);
@@ -61,7 +64,8 @@ TEST(DownsamplerTest, IdentityFactorsPreserveImage) {
   img.set(3, 4, true);
   img.set(7, 7, true);
   Downsampler down(1, 1);
-  const CountImage out = down.downsample(img);
+  CountImage out;
+  down.downsampleInto(img, out);
   EXPECT_EQ(out.width(), 8);
   EXPECT_EQ(out.height(), 8);
   EXPECT_EQ(out.at(3, 4), 1);
@@ -80,7 +84,8 @@ TEST(DownsamplerTest, SparseSceneDirtyBandMatchesDenseScan) {
     img.set(x, 91, true);
   }
   img.set(10, 180, true);  // dropped by Eq. (3)'s floor bounds
-  const CountImage got = down.downsample(img);
+  CountImage got;
+  down.downsampleInto(img, got);
   CountImage want(40, 60);
   for (int j = 0; j < 60; ++j) {
     for (int i = 0; i < 40; ++i) {
@@ -97,14 +102,16 @@ TEST(DownsamplerTest, SparseSceneDirtyBandMatchesDenseScan) {
   EXPECT_EQ(got, want);
   // A guaranteed-blank frame downsamples to all-zero cells.
   const BinaryImage blank(240, 180);
-  const CountImage zero = down.downsample(blank);
+  CountImage zero;
+  down.downsampleInto(blank, zero);
   EXPECT_EQ(zero.totalMass(), 0U);
 }
 
 TEST(DownsamplerTest, OpsScaleWithSourcePixels) {
   BinaryImage img(240, 180);
   Downsampler down(6, 3);
-  (void)down.downsample(img);
+  CountImage out;
+  down.downsampleInto(img, out);
   // One add per covered source pixel + one write per output cell.
   EXPECT_EQ(down.lastOps().adds, 240U * 180U);
   EXPECT_EQ(down.lastOps().memWrites, 40U * 60U);
@@ -129,7 +136,9 @@ TEST_P(DownsampleMassProperty, MassPreserved) {
     }
   }
   Downsampler down(s1, s2);
-  EXPECT_EQ(down.downsample(img).totalMass(), set);
+  CountImage out;
+  down.downsampleInto(img, out);
+  EXPECT_EQ(out.totalMass(), set);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,7 +12,8 @@ TEST(EbbiBuilderTest, SetsPixelsOfEvents) {
   EventPacket p(0, 1000);
   p.push(Event{5, 6, Polarity::kOn, 10});
   p.push(Event{7, 8, Polarity::kOff, 20});
-  const BinaryImage img = builder.build(p);
+  BinaryImage img(32, 32);
+  builder.buildInto(p, img);
   EXPECT_TRUE(img.get(5, 6));
   EXPECT_TRUE(img.get(7, 8));
   EXPECT_EQ(img.popcount(), 2U);
@@ -25,7 +26,8 @@ TEST(EbbiBuilderTest, DuplicateEventsIdempotent) {
   for (int i = 0; i < 10; ++i) {
     p.push(Event{3, 3, Polarity::kOn, static_cast<TimeUs>(i)});
   }
-  const BinaryImage img = builder.build(p);
+  BinaryImage img(16, 16);
+  builder.buildInto(p, img);
   EXPECT_EQ(img.popcount(), 1U);
 }
 
@@ -34,7 +36,8 @@ TEST(EbbiBuilderTest, PolarityIgnoredInCombinedImage) {
   EventPacket p(0, 1000);
   p.push(Event{1, 1, Polarity::kOn, 1});
   p.push(Event{2, 2, Polarity::kOff, 2});
-  const BinaryImage img = builder.build(p);
+  BinaryImage img(16, 16);
+  builder.buildInto(p, img);
   EXPECT_TRUE(img.get(1, 1));
   EXPECT_TRUE(img.get(2, 2));
 }
@@ -63,7 +66,8 @@ TEST(EbbiBuilderTest, OutOfFrameEventThrows) {
   EbbiBuilder builder(8, 8);
   EventPacket p(0, 1000);
   p.push(Event{200, 1, Polarity::kOn, 10});
-  EXPECT_THROW((void)builder.build(p), LogicError);
+  BinaryImage img(8, 8);
+  EXPECT_THROW(builder.buildInto(p, img), LogicError);
 }
 
 TEST(EbbiBuilderTest, OpsCountMemoryWritesPerEvent) {
@@ -73,7 +77,8 @@ TEST(EbbiBuilderTest, OpsCountMemoryWritesPerEvent) {
     p.push(Event{static_cast<std::uint16_t>(i), 0, Polarity::kOn,
                  static_cast<TimeUs>(i)});
   }
-  (void)builder.build(p);
+  BinaryImage img(16, 16);
+  builder.buildInto(p, img);
   EXPECT_EQ(builder.lastOps().memWrites, 7U);
   EXPECT_EQ(builder.lastOps().total(), 7U);
 }
@@ -97,7 +102,8 @@ TEST(EbbiBuilderTest, PolaritySplitImages) {
 
 TEST(EbbiBuilderTest, EmptyPacketGivesBlankImage) {
   EbbiBuilder builder(16, 16);
-  const BinaryImage img = builder.build(EventPacket(0, 1000));
+  BinaryImage img(16, 16);
+  builder.buildInto(EventPacket(0, 1000), img);
   EXPECT_EQ(img.popcount(), 0U);
   EXPECT_EQ(builder.lastOps().total(), 0U);
 }

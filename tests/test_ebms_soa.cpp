@@ -3,8 +3,9 @@
 // visible tracks (ids, boxes, velocities, hits) *and* OpCounts (the fast
 // path's closed-form accounting must equal the reference's metered
 // values) after every packet, across random scenes, merge/prune-heavy
-// configs, long runs that cycle the history ring, and empty windows —
-// the MedianFilter/CcaLabeler reference-pinning convention of PRs 3-4.
+// configs, long runs that cycle the history ring, empty windows, and
+// crowded 640x480 scenes at CLmax 64 and 96 — the MedianFilter/CcaLabeler
+// reference-pinning convention of PRs 3-4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,19 +76,32 @@ void expectIdenticalState(const EbmsTracker& fast,
       << "closed-form ops diverge from metered reference at frame " << frame;
 }
 
-void runDifferential(const EbmsConfig& config, std::uint64_t seed,
-                     int frames, int maxEvents) {
+/// Feeds the windows `makeWindow(rng, frame)` draws to both trackers,
+/// pinning them equal after every packet; returns the peak live cluster
+/// count so callers can assert the regime they meant.
+template <typename MakeWindow>
+int runScene(const EbmsConfig& config, std::uint64_t seed, int frames,
+             MakeWindow makeWindow) {
   EbmsTracker fast(config);
   EbmsTrackerReference reference(config);
-  Rng rngA(seed);
-  Rng rngB(seed);
+  Rng rng(seed);
+  int peak = 0;
   for (int f = 0; f < frames; ++f) {
-    const EventPacket pa = randomWindow(rngA, f, maxEvents);
-    const EventPacket pb = randomWindow(rngB, f, maxEvents);
-    fast.processPacket(pa);
-    reference.processPacket(pb);
+    const EventPacket p = makeWindow(rng, f);
+    fast.processPacket(p);
+    reference.processPacket(p);
     expectIdenticalState(fast, reference, f);
+    peak = std::max(peak, fast.activeCount());
   }
+  return peak;
+}
+
+void runDifferential(const EbmsConfig& config, std::uint64_t seed,
+                     int frames, int maxEvents, int width = 240,
+                     int height = 180) {
+  runScene(config, seed, frames, [&](Rng& rng, int f) {
+    return randomWindow(rng, f, maxEvents, width, height);
+  });
 }
 
 TEST(EbmsSoaDifferentialTest, RandomScenesDefaultConfig) {
@@ -203,10 +217,9 @@ TEST(EbmsSoaDifferentialTest, ProcessEventMatchesReference) {
 
 TEST(EbmsSoaDifferentialTest, InterleavedBlobsOverlappedChains) {
   // Eight well-separated blobs at CLmax = 8, events interleaved in time
-  // across all of them: the grouped path resolves nearly every event to
-  // a distinct chain up front, so this run lives almost entirely in the
-  // overlapped phase-B replay — which must stay bit-identical, clusters
-  // and ops alike.
+  // across all of them: consecutive events almost always update
+  // different clusters, and every slot stays owned once the blobs are
+  // acquired — clusters and ops must stay bit-identical throughout.
   EbmsConfig config;
   config.maxClusters = 8;
   EbmsTracker fast(config);
@@ -238,15 +251,14 @@ TEST(EbmsSoaDifferentialTest, InterleavedBlobsOverlappedChains) {
 }
 
 TEST(EbmsSoaDifferentialTest, MarginalRadiusEventsFlushGroups) {
-  // Events placed right at the capture-radius boundary of two nearby
-  // clusters: neither definitely-in nor definitely-out under the group
-  // snapshot, so the grouped path must flush and replay them through
-  // the exact scalar step — any admission slip shows up as a cluster or
-  // ops divergence.
+  // Events placed right at the capture-radius boundary of two nearby,
+  // fast-drifting clusters: the inclusive radius test and the
+  // lowest-index tie-break decide many captures, so any slip in the
+  // argmin shows up as a cluster or ops divergence.
   EbmsConfig config;
   config.maxClusters = 8;
   config.captureRadius = 20.0F;
-  config.mixingFactor = 0.1F;  // fast drift: stresses the budget bound
+  config.mixingFactor = 0.1F;  // fast drift across the radius boundary
   EbmsTracker fast(config);
   EbmsTrackerReference reference(config);
   Rng rngA(52);
@@ -274,10 +286,10 @@ TEST(EbmsSoaDifferentialTest, MarginalRadiusEventsFlushGroups) {
 }
 
 TEST(EbmsSoaDifferentialTest, MidBurstSeedsFlushGroups) {
-  // A new blob igniting mid-window while existing chains are being
-  // grouped: the first unassigned event must flush the group, seed via
-  // the scalar path, and the freshly seeded cluster must start
-  // capturing within the same packet — all bit-identical.
+  // A new blob igniting mid-window while an existing cluster is
+  // capturing: the first uncaptured event must seed, and the freshly
+  // seeded cluster must start capturing within the same packet — all
+  // bit-identical.
   EbmsConfig config;
   config.maxClusters = 8;
   EbmsTracker fast(config);
@@ -307,6 +319,74 @@ TEST(EbmsSoaDifferentialTest, MidBurstSeedsFlushGroups) {
     fast.processPacket(window(rngA, f));
     reference.processPacket(window(rngB, f));
     expectIdenticalState(fast, reference, f);
+  }
+}
+
+/// `blobs` small objects on a grid over a width x height sensor, drifting
+/// one pixel per frame, plus uniform shot noise: the crowded wide-area
+/// regime, with many clusters live at once.
+EventPacket crowdedWindow(Rng& rng, int frame, int blobs, int width,
+                          int height) {
+  EventPacket p(frame * 66'000, (frame + 1) * 66'000);
+  constexpr int kCols = 10;
+  const int rows = (blobs + kCols - 1) / kCols;
+  for (int b = 0; b < blobs; ++b) {
+    const float cx = (static_cast<float>(b % kCols) + 0.5F) *
+                         static_cast<float>(width) / kCols +
+                     static_cast<float>(frame);
+    const float cy = (static_cast<float>(b / kCols) + 0.5F) *
+                     static_cast<float>(height) / static_cast<float>(rows);
+    for (int i = 0; i < 40; ++i) {
+      const int x = std::clamp(
+          static_cast<int>(cx + static_cast<float>(rng.uniform(-5.0, 5.0))),
+          0, width - 1);
+      const int y = std::clamp(
+          static_cast<int>(cy + static_cast<float>(rng.uniform(-5.0, 5.0))),
+          0, height - 1);
+      p.push(Event{static_cast<std::uint16_t>(x),
+                   static_cast<std::uint16_t>(y), Polarity::kOn,
+                   frame * 66'000 + rng.uniformInt(0, 65'999)});
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    p.push(Event{static_cast<std::uint16_t>(rng.uniformInt(0, width - 1)),
+                 static_cast<std::uint16_t>(rng.uniformInt(0, height - 1)),
+                 Polarity::kOn, frame * 66'000 + rng.uniformInt(0, 65'999)});
+  }
+  p.sortByTime();
+  return p;
+}
+
+/// Crowded 640x480 windows with `blobs` objects through both trackers.
+int runCrowded(const EbmsConfig& config, std::uint64_t seed, int blobs) {
+  return runScene(config, seed, 20, [&](Rng& rng, int f) {
+    return crowdedWindow(rng, f, blobs, 640, 480);
+  });
+}
+
+TEST(EbmsSoaDifferentialTest, CrowdedWideAreaConfig) {
+  // The BM_EbmsTrackerCrowded config: 640x480, CLmax 64, capture radius
+  // 16.  Crowded scenes keep ~56 clusters live, so every event scans a
+  // long cluster list; random scenes fill all 64 slots with short-lived
+  // seeds that merge and prune.
+  EbmsConfig config;
+  config.maxClusters = 64;
+  config.captureRadius = 16.0F;
+  for (std::uint64_t seed = 80; seed <= 82; ++seed) {
+    EXPECT_GE(runCrowded(config, seed, 56), 56);
+    runDifferential(config, seed, 20, 600, 640, 480);
+  }
+}
+
+TEST(EbmsSoaDifferentialTest, MoreThanSixtyFourClusters) {
+  // CLmax 96 with 90 objects in view: the scan, seeding and the
+  // merge/prune compaction run with cluster indices past 63.
+  EbmsConfig config;
+  config.maxClusters = 96;
+  config.captureRadius = 16.0F;
+  for (std::uint64_t seed = 90; seed <= 91; ++seed) {
+    EXPECT_GT(runCrowded(config, seed, 90), 64);
+    runDifferential(config, seed, 20, 800, 640, 480);
   }
 }
 

@@ -13,7 +13,8 @@ TEST(HistogramBuilderTest, ColumnAndRowSums) {
   img.at(1, 0) = 2;
   img.at(2, 1) = 3;
   HistogramBuilder builder;
-  const HistogramPair h = builder.build(img);
+  HistogramPair h;
+  builder.buildInto(img, h);
   ASSERT_EQ(h.hx.size(), 3U);
   ASSERT_EQ(h.hy.size(), 2U);
   EXPECT_EQ(h.hx[0], 1U);
@@ -32,7 +33,8 @@ TEST(HistogramBuilderTest, SumsEqualTotalMass) {
         static_cast<std::uint16_t>(rng.uniformInt(0, 18));
   }
   HistogramBuilder builder;
-  const HistogramPair h = builder.build(img);
+  HistogramPair h;
+  builder.buildInto(img, h);
   std::uint64_t sumX = 0;
   for (auto v : h.hx) {
     sumX += v;
@@ -46,11 +48,14 @@ TEST(HistogramBuilderTest, SumsEqualTotalMass) {
 }
 
 TEST(FindRunsTest, NoRunsInFlatHistogram) {
-  EXPECT_TRUE(findRuns({0, 0, 0, 0}, 1).empty());
+  std::vector<HistogramRun> runs;
+  findRunsInto({0, 0, 0, 0}, 1, 0, runs);
+  EXPECT_TRUE(runs.empty());
 }
 
 TEST(FindRunsTest, SingleRun) {
-  const auto runs = findRuns({0, 2, 3, 1, 0}, 1);
+  std::vector<HistogramRun> runs;
+  findRunsInto({0, 2, 3, 1, 0}, 1, 0, runs);
   ASSERT_EQ(runs.size(), 1U);
   EXPECT_EQ(runs[0].begin, 1);
   EXPECT_EQ(runs[0].end, 4);
@@ -59,7 +64,8 @@ TEST(FindRunsTest, SingleRun) {
 }
 
 TEST(FindRunsTest, MultipleRunsSplitByGaps) {
-  const auto runs = findRuns({1, 0, 2, 2, 0, 0, 5}, 1);
+  std::vector<HistogramRun> runs;
+  findRunsInto({1, 0, 2, 2, 0, 0, 5}, 1, 0, runs);
   ASSERT_EQ(runs.size(), 3U);
   EXPECT_EQ(runs[0].begin, 0);
   EXPECT_EQ(runs[0].end, 1);
@@ -70,14 +76,16 @@ TEST(FindRunsTest, MultipleRunsSplitByGaps) {
 }
 
 TEST(FindRunsTest, RunsAtBothEnds) {
-  const auto runs = findRuns({3, 0, 0, 4}, 1);
+  std::vector<HistogramRun> runs;
+  findRunsInto({3, 0, 0, 4}, 1, 0, runs);
   ASSERT_EQ(runs.size(), 2U);
   EXPECT_EQ(runs[0].begin, 0);
   EXPECT_EQ(runs[1].end, 4);
 }
 
 TEST(FindRunsTest, ThresholdFiltersWeakBins) {
-  const auto runs = findRuns({1, 1, 5, 5, 1}, 3);
+  std::vector<HistogramRun> runs;
+  findRunsInto({1, 1, 5, 5, 1}, 3, 0, runs);
   ASSERT_EQ(runs.size(), 1U);
   EXPECT_EQ(runs[0].begin, 2);
   EXPECT_EQ(runs[0].end, 4);
@@ -86,17 +94,21 @@ TEST(FindRunsTest, ThresholdFiltersWeakBins) {
 
 TEST(FindRunsTest, MaxGapBridgesShortGaps) {
   // Gap of 1 bin between two runs: maxGap=1 merges them.
-  const auto merged = findRuns({2, 0, 2}, 1, 1);
+  std::vector<HistogramRun> merged;
+  findRunsInto({2, 0, 2}, 1, 1, merged);
   ASSERT_EQ(merged.size(), 1U);
   EXPECT_EQ(merged[0].begin, 0);
   EXPECT_EQ(merged[0].end, 3);
   // Gap of 2 bins is not bridged by maxGap=1.
-  const auto split = findRuns({2, 0, 0, 2}, 1, 1);
+  std::vector<HistogramRun> split;
+  findRunsInto({2, 0, 0, 2}, 1, 1, split);
   EXPECT_EQ(split.size(), 2U);
 }
 
 TEST(FindRunsTest, EmptyHistogram) {
-  EXPECT_TRUE(findRuns({}, 1).empty());
+  std::vector<HistogramRun> runs;
+  findRunsInto({}, 1, 0, runs);
+  EXPECT_TRUE(runs.empty());
 }
 
 // Property: runs tile the above-threshold bins exactly, never overlap,
@@ -110,7 +122,8 @@ TEST_P(FindRunsProperty, RunsAreExactCover) {
     v = static_cast<std::uint32_t>(rng.uniformInt(0, 3));
   }
   const std::uint32_t threshold = 2;
-  const auto runs = findRuns(hist, threshold);
+  std::vector<HistogramRun> runs;
+  findRunsInto(hist, threshold, 0, runs);
   std::vector<bool> covered(hist.size(), false);
   int prevEnd = -1;
   for (const HistogramRun& r : runs) {

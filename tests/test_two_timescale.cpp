@@ -88,7 +88,8 @@ class NaiveSlowFrame {
         width_(width), height_(height) {}
 
   void addWindow(const EventPacket& packet) {
-    frames_.push_back(builder_.build(packet));
+    frames_.emplace_back(width_, height_);
+    builder_.buildInto(packet, frames_.back());
     if (frames_.size() > k_) {
       frames_.erase(frames_.begin());
     }

@@ -202,7 +202,9 @@ TEST(WordDownsampleTest, MatchesScalarAcrossFactorsAndShapes) {
         }
         const BinaryImage img = randomImage(w, 45, density, seed++);
         Downsampler down(s1, s2);
-        EXPECT_EQ(down.downsample(img), downsampleScalar(img, s1, s2))
+        CountImage out;
+        down.downsampleInto(img, out);
+        EXPECT_EQ(out, downsampleScalar(img, s1, s2))
             << "w=" << w << " s1=" << s1 << " s2=" << s2;
       }
     }
@@ -212,12 +214,13 @@ TEST(WordDownsampleTest, MatchesScalarAcrossFactorsAndShapes) {
 TEST(WordDownsampleTest, OpsAreClosedFormAndActivityIndependent) {
   Downsampler down(6, 3);
   const BinaryImage blank(240, 180);
-  (void)down.downsample(blank);
+  CountImage out;
+  down.downsampleInto(blank, out);
   const OpCounts blankOps = down.lastOps();
   EXPECT_EQ(blankOps.adds, 40U * 60U * 18U);  // outW*outH*s1*s2
   EXPECT_EQ(blankOps.memWrites, 40U * 60U);
   const BinaryImage busy = randomImage(240, 180, 0.5, 3);
-  (void)down.downsample(busy);
+  down.downsampleInto(busy, out);
   EXPECT_EQ(down.lastOps(), blankOps);
 }
 
