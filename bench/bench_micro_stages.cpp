@@ -3,7 +3,8 @@
 // The paper's resource argument is in abstract ops; this binary grounds
 // it in time on the host CPU: EBBI build, median filter (word-parallel
 // and scalar reference), downsample + histograms, RPN, CCA, the three
-// trackers and the NN-filter, all on a realistic ENG-like frame.
+// trackers and the NN-filter, all on a realistic ENG-like frame, plus
+// the node's EBF1 frame parser on the same windows encoded for the wire.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -25,6 +26,7 @@
 #include "src/detect/cca_reference.hpp"
 #include "src/filters/median_filter_reference.hpp"
 #include "src/filters/nn_filter_reference.hpp"
+#include "src/node/wire_format.hpp"
 #include "src/sim/davis.hpp"
 #include "src/sim/event_synth.hpp"
 #include "src/sim/recording.hpp"
@@ -107,6 +109,12 @@ class StageCounters {
 
   void frame(const OpCounts& ops) {
     totalOps_ += ops.total();
+    metered_ = true;
+    frame();
+  }
+
+  /// A frame of a stage without an abstract ops model (allocs only).
+  void frame() {
     if (frames_ == 0) {
       allocsBefore_ = gAllocations.load();
     }
@@ -119,8 +127,9 @@ class StageCounters {
     if (iters <= 0) {
       return;
     }
-    state_.counters["ops_frame"] =
-        static_cast<double>(totalOps_) / iters;
+    if (metered_) {
+      state_.counters["ops_frame"] = static_cast<double>(totalOps_) / iters;
+    }
     state_.counters["allocs_frame"] =
         frames_ > 1 ? static_cast<double>(allocsAfter_ - allocsBefore_) /
                           static_cast<double>(frames_ - 1)
@@ -133,6 +142,7 @@ class StageCounters {
   std::uint64_t allocsAfter_ = 0;
   std::uint64_t frames_ = 0;
   std::uint64_t totalOps_ = 0;
+  bool metered_ = false;
 };
 
 void BM_EbbiBuild(benchmark::State& state) {
@@ -261,6 +271,44 @@ void BM_CcaRpnReference(benchmark::State& state) {
   counters.report();
 }
 BENCHMARK(BM_CcaRpnReference);
+
+void BM_FrameParserEng(benchmark::State& state) {
+  // The node's ingest codec alone: FrameParser offer + next over the
+  // bank's ENG windows encoded as EBF1 frames — CRC32 over every frame
+  // byte, then the event decode into a reused DecodedFrame.  The parser
+  // has no abstract ops model, so the cell reports time, bytes/s and
+  // allocs_frame only.
+  FrameBank& bank = FrameBank::instance();
+  std::vector<std::vector<std::byte>> frames(bank.size());
+  for (std::size_t w = 0; w < bank.size(); ++w) {
+    encodeFrame(frames[w], static_cast<std::uint32_t>(w), 0, bank.stream(w));
+  }
+  FrameParser parser{NodeConfig{}};
+  DecodedFrame frame;
+  for (const std::vector<std::byte>& bytes : frames) {  // warm-up
+    parser.offer(bytes);
+    if (parser.next(frame) != FrameParser::Status::kFrame) {
+      state.SkipWithError("encoded ENG frame rejected");
+      return;
+    }
+  }
+  StageCounters counters(state);
+  std::size_t i = 0;
+  std::int64_t bytesParsed = 0;
+  for (auto _ : state) {
+    const std::vector<std::byte>& bytes = frames[i++ % frames.size()];
+    parser.offer(bytes);
+    const FrameParser::Status status = parser.next(frame);
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(frame.events.data());
+    benchmark::ClobberMemory();
+    bytesParsed += static_cast<std::int64_t>(bytes.size());
+    counters.frame();
+  }
+  counters.report();
+  state.SetBytesProcessed(bytesParsed);
+}
+BENCHMARK(BM_FrameParserEng);
 
 void BM_OverlapTracker(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();

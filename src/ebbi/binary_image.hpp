@@ -16,7 +16,9 @@
 // The image also keeps a *conservative* row-occupancy bitset: a cleared
 // bit guarantees the row is all-zero; a set bit means the row may contain
 // set pixels (set(x, y, false) does not clear it).  Scans use it to skip
-// blank rows — on an EBBI only the active band of the scene survives.
+// blank rows — on an EBBI only the active band of the scene survives.  A
+// writer that marks only the rows it fills with pixels keeps the bitset
+// exact, as MedianFilter's 3x3 kernel does for its output.
 #pragma once
 
 #include <cstddef>

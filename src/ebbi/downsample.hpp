@@ -8,10 +8,15 @@
 // do not fill a whole block are dropped, matching the floor() bounds of
 // Eq. (3).
 //
-// The block sums are evaluated word-parallel: each source row is read as
-// 64-bit words and every output cell's s1-bit slice is extracted with two
-// shifts and a masked popcount, so a row costs outW popcounts instead of
-// outW*s1 pixel fetches; rows whose occupancy bit is clear are skipped.
+// The block sums are evaluated bit-sliced: the s2 source rows of a block
+// row are added, 64 columns per word step, into bit_width(s2) carry-save
+// bit-planes (bit b of plane b's word = bit b of that column's count), and
+// each cell is then Σ_b 2^b · popcount(its s1-bit field of plane b), with
+// fields of any width (s1 > 64 spans several words).  Only cells holding
+// a set column are counted: the run scanner of src/ebbi/runs.hpp walks
+// the OR of the block row's source rows.  Rows whose occupancy bit is
+// clear add nothing and are skipped, and block rows with none left are
+// not visited.
 // The reported OpCounts stay the abstract per-pixel model (one add per
 // block pixel, one write per cell), computed in closed form — identical
 // to what the scalar scan metered.
@@ -37,6 +42,10 @@ class CountImage {
   [[nodiscard]] std::uint16_t at(int x, int y) const;
   std::uint16_t& at(int x, int y);
 
+  /// Cells of row y (width() of them, cell x at [x]).
+  [[nodiscard]] const std::uint16_t* row(int y) const;
+  [[nodiscard]] std::uint16_t* row(int y);
+
   /// Reshape to width x height, zero-filled; reuses capacity when it can.
   void reset(int width, int height);
 
@@ -60,7 +69,8 @@ class Downsampler {
   [[nodiscard]] int s2() const { return s2_; }
 
   /// Downsample per Eq. (3) into a reusable output image, reshaped to
-  /// floor(W/s1) x floor(H/s2) as needed.
+  /// floor(W/s1) x floor(H/s2) as needed.  Allocation-free once the
+  /// output and the bit-plane scratch have seen the frame geometry.
   void downsampleInto(const BinaryImage& image, CountImage& out);
 
   /// Ops performed by the most recent call (one add per source pixel read
@@ -73,6 +83,9 @@ class Downsampler {
   int s1_;
   int s2_;
   OpCounts ops_;
+  /// bit_width(s2) carry-save bit-planes of one block row, then the OR of
+  /// its source rows; plane-major, wordsPerRow words each, reused.
+  std::vector<std::uint64_t> planes_;
 };
 
 }  // namespace ebbiot

@@ -7,15 +7,19 @@ namespace ebbiot {
 
 void HistogramBuilder::buildInto(const CountImage& image, HistogramPair& out) {
   ops_.reset();
-  out.hx.assign(static_cast<std::size_t>(image.width()), 0);
+  const auto width = static_cast<std::size_t>(image.width());
+  out.hx.assign(width, 0);
   out.hy.assign(static_cast<std::size_t>(image.height()), 0);
+  std::uint32_t* hx = out.hx.data();
   for (int y = 0; y < image.height(); ++y) {
-    for (int x = 0; x < image.width(); ++x) {
-      const std::uint16_t v = image.at(x, y);
-      out.hx[static_cast<std::size_t>(x)] += v;
-      out.hy[static_cast<std::size_t>(y)] += v;
-      ops_.adds += 2;
+    const std::uint16_t* row = image.row(y);
+    std::uint32_t rowSum = 0;
+    for (std::size_t x = 0; x < width; ++x) {
+      hx[x] += row[x];
+      rowSum += row[x];
     }
+    out.hy[static_cast<std::size_t>(y)] = rowSum;
+    ops_.adds += 2 * width;  // one hx and one hy add per cell
   }
   ops_.memWrites += out.hx.size() + out.hy.size();
 }

@@ -39,10 +39,11 @@ void MedianFilter::applyInto(const BinaryImage& input, BinaryImage& output) {
 }
 
 void MedianFilter::applyMajority3(const BinaryImage& input,
-                                  BinaryImage& output) const {
+                                  BinaryImage& output) {
   const int h = input.height();
   const std::size_t nw = input.wordsPerRow();
   const std::uint64_t tail = input.tailMask();
+  rowScratch_.resize(nw);
   output.clear();
   // The input's dirty row span (maintained by EbbiBuilder's writes, or the
   // OR of them for the two-timescale slow frame) seeds the active band:
@@ -54,20 +55,28 @@ void MedianFilter::applyMajority3(const BinaryImage& input,
   }
   const int yBegin = std::max(0, span.begin - 1);
   const int yEnd = std::min(h, span.end + 1);
+  // Rolling north/centre/south window: each input row is looked up once.
+  // A row outside the frame or with a clear occupancy bit is all-zero and
+  // enters the kernel as null (the zero-padding policy).
+  const auto rowIfOccupied = [&](int y) -> const std::uint64_t* {
+    return y >= 0 && y < h && input.rowMayHaveSetPixels(y) ? input.wordRow(y)
+                                                           : nullptr;
+  };
+  const std::uint64_t* rowN = rowIfOccupied(yBegin - 1);
+  const std::uint64_t* rowC = rowIfOccupied(yBegin);
   for (int y = yBegin; y < yEnd; ++y) {
-    // Active-row band with a +/-1 halo: the output row is blank unless
-    // some input row of the 3-row band may hold pixels.
-    const bool bandActive =
-        (y > 0 && input.rowMayHaveSetPixels(y - 1)) ||
-        input.rowMayHaveSetPixels(y) ||
-        (y + 1 < h && input.rowMayHaveSetPixels(y + 1));
-    if (!bandActive) {
-      continue;  // output row stays all-zero from the clear()
+    const std::uint64_t* rowS = rowIfOccupied(y + 1);
+    // The output row is blank unless some row of its 3-row band may hold
+    // pixels.  The kernel writes to a scratch row, copied out only when it
+    // holds pixels: a blank row stays all-zero from the clear() with its
+    // occupancy bit clear, so the output's occupancy is exact.
+    if ((rowN != nullptr || rowC != nullptr || rowS != nullptr) &&
+        median_detail::majority3Row(rowN, rowC, rowS, rowScratch_.data(), nw,
+                                    tail) != 0) {
+      std::copy_n(rowScratch_.data(), nw, output.mutableWordRow(y));
     }
-    median_detail::majority3Row(y > 0 ? input.wordRow(y - 1) : nullptr,
-                                input.wordRow(y),
-                                y + 1 < h ? input.wordRow(y + 1) : nullptr,
-                                output.mutableWordRow(y), nw, tail);
+    rowN = rowC;
+    rowC = rowS;
   }
 }
 

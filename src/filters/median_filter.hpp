@@ -17,8 +17,10 @@
 // Rows whose 3-row input band is blank (conservative row occupancy,
 // maintained by EbbiBuilder's writes during buildInto) are skipped
 // entirely, so a mostly-empty surveillance frame costs little more than
-// its active band.  p = 1 is an identity copy; other patch sizes use a
-// scalar fallback.
+// its active band.  The output's row occupancy is exact: a row the
+// majority leaves blank is never written or marked, so the downsampler,
+// CCA and the region scans downstream skip the rows noise alone touched.
+// p = 1 is an identity copy; other patch sizes use a scalar fallback.
 //
 // The *reported* OpCounts stay the paper's abstract accounting, computed
 // in closed form so they are bit-identical to the metered values of the
@@ -27,6 +29,9 @@
 // floor) and one memRead per clamped patch pixel (p^2*A*B minus border
 // clipping).  Host-word parallelism changes wall-clock, not the model.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "src/common/op_counter.hpp"
 #include "src/ebbi/binary_image.hpp"
@@ -53,11 +58,13 @@ class MedianFilter {
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }
 
  private:
-  void applyMajority3(const BinaryImage& input, BinaryImage& output) const;
+  void applyMajority3(const BinaryImage& input, BinaryImage& output);
   void applyScalar(const BinaryImage& input, BinaryImage& output) const;
 
   int patchSize_;
   OpCounts ops_;
+  /// One output row of the 3x3 kernel (wordsPerRow words), reused.
+  std::vector<std::uint64_t> rowScratch_;
 };
 
 }  // namespace ebbiot

@@ -20,16 +20,21 @@ inline void fullAdd(std::uint64_t a, std::uint64_t b, std::uint64_t c,
 }
 
 /// One output row of the 3x3 binary median: the majority (> 4 of 9) over
-/// the word rows rowN/rowC/rowS (north/centre/south; null at a frame
-/// edge = the zero-padding border policy).  The 9 neighbour bit-planes of
-/// each word are formed by shifts with cross-word carry, reduced by a
-/// carry-save adder network to weight-1/2/2/4 bits, and the majority is
+/// the word rows rowN/rowC/rowS (north/centre/south; null reads as an
+/// all-zero row: a frame edge under the zero-padding border policy, or a
+/// row known to be blank).  The 9 neighbour bit-planes of each word are
+/// formed by shifts with cross-word carry, reduced by a carry-save adder
+/// network to weight-1/2/2/4 bits, and the majority is
 ///     out = (w4 & (w1 | w2a | w2b)) | (w1 & w2a & w2b).
 /// `tail` masks the last word so the caller keeps BinaryImage's
-/// guaranteed-zero padding-bit invariant.
-inline void majority3Row(const std::uint64_t* rowN, const std::uint64_t* rowC,
-                         const std::uint64_t* rowS, std::uint64_t* out,
-                         std::size_t nw, std::uint64_t tail) {
+/// guaranteed-zero padding-bit invariant.  Returns the OR of the words
+/// written: zero iff the output row is blank.
+inline std::uint64_t majority3Row(const std::uint64_t* rowN,
+                                  const std::uint64_t* rowC,
+                                  const std::uint64_t* rowS,
+                                  std::uint64_t* out, std::size_t nw,
+                                  std::uint64_t tail) {
+  std::uint64_t any = 0;
   for (std::size_t k = 0; k < nw; ++k) {
     std::uint64_t planeS[3];
     std::uint64_t planeC[3];
@@ -63,7 +68,9 @@ inline void majority3Row(const std::uint64_t* rowN, const std::uint64_t* rowC,
       word &= tail;
     }
     out[k] = word;
+    any |= word;
   }
+  return any;
 }
 
 /// Sum over all n positions of the clamped 1-D patch width

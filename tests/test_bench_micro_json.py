@@ -151,6 +151,27 @@ class ConverterCase(unittest.TestCase):
         self.assertIn("allocates", result.stderr)
         self.assertIn(STEADY[0], result.stderr)
 
+    def test_codec_bench_alloc_gated_without_ops(self):
+        # The frame parser has no closed-form ops: its cell carries only
+        # allocs_frame, passes both gates that way, stays out of the ops
+        # baseline, and still fails the allocation gate when it allocates.
+        self.assertIn("BM_FrameParserEng", STEADY)
+        self.assertNotIn("BM_FrameParserEng", PINNED)
+        del self.bench("BM_FrameParserEng")["ops_frame"]
+        baseline = self.write_baseline()
+        self.assertNotIn("BM_FrameParserEng",
+                         json.loads(baseline.read_text())["ops_per_frame"])
+        result, out_path = self.run_tool(
+            "--fail-on-steady-allocs", f"--fail-on-ops-regression={baseline}")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        cell = next(r for r in json.loads(out_path.read_text())["benchmarks"]
+                    if r["name"] == "BM_FrameParserEng")
+        self.assertIsNone(cell["ops_per_frame"])
+        self.bench("BM_FrameParserEng")["allocs_frame"] = 0.01
+        result, _ = self.run_tool("--fail-on-steady-allocs")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_FrameParserEng", result.stderr)
+
     def test_steady_alloc_counter_missing_fails(self):
         del self.bench(STEADY[0])["allocs_frame"]
         result, _ = self.run_tool("--fail-on-steady-allocs")

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.hpp"
 
 namespace ebbiot {
@@ -45,6 +47,37 @@ TEST(HistogramBuilderTest, SumsEqualTotalMass) {
   }
   EXPECT_EQ(sumX, img.totalMass());
   EXPECT_EQ(sumY, img.totalMass());
+}
+
+TEST(HistogramBuilderTest, MatchesCellByCellProjectionAndOps) {
+  // Row-pointer sums against the cell-by-cell Eq. (4) projection, with
+  // the metered ops: two adds per cell, one write per bin.
+  Rng rng(9);
+  HistogramBuilder builder;
+  HistogramPair h;
+  for (const auto& [w, ht] : {std::pair{40, 60}, std::pair{1, 7},
+                              std::pair{13, 1}}) {
+    CountImage img(w, ht);
+    for (int y = 0; y < ht; ++y) {
+      for (int x = 0; x < w; ++x) {
+        img.at(x, y) = static_cast<std::uint16_t>(rng.uniformInt(0, 65535));
+      }
+    }
+    builder.buildInto(img, h);
+    std::vector<std::uint32_t> hx(static_cast<std::size_t>(w), 0);
+    std::vector<std::uint32_t> hy(static_cast<std::size_t>(ht), 0);
+    for (int y = 0; y < ht; ++y) {
+      for (int x = 0; x < w; ++x) {
+        hx[static_cast<std::size_t>(x)] += img.at(x, y);
+        hy[static_cast<std::size_t>(y)] += img.at(x, y);
+      }
+    }
+    EXPECT_EQ(h.hx, hx) << w << "x" << ht;
+    EXPECT_EQ(h.hy, hy) << w << "x" << ht;
+    EXPECT_EQ(builder.lastOps().adds, 2U * static_cast<std::uint64_t>(w * ht));
+    EXPECT_EQ(builder.lastOps().memWrites,
+              static_cast<std::uint64_t>(w + ht));
+  }
 }
 
 TEST(FindRunsTest, NoRunsInFlatHistogram) {

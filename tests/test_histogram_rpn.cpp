@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 
 namespace ebbiot {
 namespace {
@@ -142,6 +143,45 @@ TEST(HistogramRpnTest, IntermediatesExposed) {
   EXPECT_EQ(rpn.lastHistograms().hy.size(), 60U);
   EXPECT_EQ(rpn.lastRunsX().size(), 1U);
   EXPECT_EQ(rpn.lastRunsY().size(), 1U);
+}
+
+TEST(HistogramRpnTest, IntermediatesMatchStandaloneStages) {
+  // propose() runs Downsampler then HistogramBuilder; its intermediates
+  // must equal the two stages run on their own, frame after frame
+  // through the RPN's reused buffers, and its ops include theirs.
+  for (const auto& [s1, s2] :
+       {std::pair{6, 3}, std::pair{24, 12}, std::pair{65, 2}}) {
+    HistogramRpnConfig config = paperConfig();
+    config.s1 = s1;
+    config.s2 = s2;
+    HistogramRpn rpn(config);
+    Downsampler down(s1, s2);
+    HistogramBuilder hist;
+    CountImage counts;
+    HistogramPair pair;
+    Rng rng(static_cast<std::uint64_t>(s1 * 100 + s2));
+    for (int frame = 0; frame < 6; ++frame) {
+      BinaryImage img(240, 180);
+      for (int b = 0; b < frame % 4; ++b) {
+        const int x0 = static_cast<int>(rng.uniformInt(0, 200));
+        const int y0 = static_cast<int>(rng.uniformInt(0, 150));
+        fillBlock(img, x0, y0, static_cast<int>(rng.uniformInt(3, 40)),
+                  static_cast<int>(rng.uniformInt(3, 30)));
+      }
+      for (int i = 0; i < 200; ++i) {
+        img.set(static_cast<int>(rng.uniformInt(0, 239)),
+                static_cast<int>(rng.uniformInt(0, 179)), true);
+      }
+      (void)rpn.propose(img);
+      down.downsampleInto(img, counts);
+      hist.buildInto(counts, pair);
+      EXPECT_EQ(rpn.lastDownsampled(), counts) << s1 << "x" << s2;
+      EXPECT_EQ(rpn.lastHistograms().hx, pair.hx) << s1 << "x" << s2;
+      EXPECT_EQ(rpn.lastHistograms().hy, pair.hy) << s1 << "x" << s2;
+      EXPECT_GE(rpn.lastOps().adds,
+                down.lastOps().adds + hist.lastOps().adds);
+    }
+  }
 }
 
 TEST(HistogramRpnTest, OpsOrderMatchesEq5) {

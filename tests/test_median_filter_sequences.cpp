@@ -2,14 +2,17 @@
 // it: one filter instance filtering frame after frame into one reused
 // output buffer.  Every frame is pinned against a fresh scalar
 // MedianFilterReference (bit-identical image, identical closed-form
-// Eq. (1) OpCounts), and the reused output's conservative row occupancy
-// must cover every row that holds pixels, since the downstream
-// downsample and CCA stages skip rows by it.  The scenes stress what a
-// stale output or a stale occupancy bit would get wrong: dense random
-// frames, sparse bands moving or jumping, blank frames, content hugging
-// the frame edges, single-pixel flips and word-boundary widths.
+// Eq. (1) OpCounts), and the reused output's row occupancy must cover
+// every row that holds pixels, since the downstream downsample and CCA
+// stages skip rows by it.  For the 3x3 kernel it must be exact: a row the
+// median left blank is flagged blank, so those stages skip it too.  The
+// scenes stress what a stale output or a stale occupancy bit would get
+// wrong: dense random frames, sparse bands moving or jumping, blank and
+// noise-only frames, content hugging the frame edges, single-pixel flips
+// and word-boundary widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -63,8 +66,34 @@ void expectOccupancyCoversPixels(const BinaryImage& img, std::size_t frame) {
   }
 }
 
+/// Row occupancy is exact: a row is flagged possibly-occupied iff it holds
+/// a set pixel, and the occupied span is the tight band of those rows.
+void expectOccupancyExact(const BinaryImage& img, std::size_t frame) {
+  RowSpan tight{img.height(), 0};
+  for (int y = 0; y < img.height(); ++y) {
+    bool anySet = false;
+    for (int x = 0; x < img.width() && !anySet; ++x) {
+      anySet = img.get(x, y);
+    }
+    EXPECT_EQ(img.rowMayHaveSetPixels(y), anySet)
+        << "row " << y << (anySet ? " holds pixels" : " is blank")
+        << ", frame " << frame;
+    if (anySet) {
+      tight.begin = std::min(tight.begin, y);
+      tight.end = y + 1;
+    }
+  }
+  const RowSpan span = img.occupiedRowSpan();
+  if (tight.empty()) {
+    EXPECT_TRUE(span.empty()) << "frame " << frame;
+  } else {
+    EXPECT_EQ(span, tight) << "frame " << frame;
+  }
+}
+
 /// Filter the sequence with one MedianFilter into one reused output; every
-/// frame must match a fresh reference in image bits and OpCounts.
+/// frame must match a fresh reference in image bits and OpCounts, and the
+/// 3x3 kernel's output occupancy must be exact.
 void expectSequenceMatchesReference(const std::vector<BinaryImage>& frames,
                                     int patch = 3) {
   MedianFilter filter(patch);
@@ -77,6 +106,9 @@ void expectSequenceMatchesReference(const std::vector<BinaryImage>& frames,
     EXPECT_EQ(filter.lastOps(), reference.lastOps())
         << "ops diverged at frame " << i;
     expectOccupancyCoversPixels(got, i);
+    if (patch == 3) {
+      expectOccupancyExact(got, i);
+    }
   }
 }
 
@@ -159,6 +191,28 @@ TEST(MedianFilterSequenceTest, SinglePixelFlips) {
   expectSequenceMatchesReference(frames);
 }
 
+TEST(MedianFilterSequenceTest, NoiseOnlyFramesLeaveNoOccupiedRows) {
+  // Salt noise touches nearly every input row, yet the median removes all
+  // of it: the output must report an empty occupied span, not the input's
+  // whole-frame band, so the RPN stages skip the frame outright.
+  MedianFilter filter(3);
+  for (const auto& [w, h] : {std::pair{240, 180}, std::pair{65, 40},
+                             std::pair{128, 1}}) {
+    BinaryImage got(w, h);
+    std::uint64_t seed = 500;
+    for (int i = 0; i < 4; ++i) {
+      const BinaryImage noise = randomImage(w, h, 0.01, seed++);
+      ASSERT_EQ(MedianFilterReference(3).apply(noise).popcount(), 0U)
+          << "noise frame " << i << " must filter to blank";
+      filter.applyInto(noise, got);
+      EXPECT_EQ(got.popcount(), 0U);
+      EXPECT_TRUE(got.occupiedRowSpan().empty())
+          << w << "x" << h << " noise frame " << i;
+      expectOccupancyExact(got, static_cast<std::size_t>(i));
+    }
+  }
+}
+
 TEST(MedianFilterSequenceTest, OneFilterAcrossFrameShapes) {
   // The filter holds no per-shape state: the same instance serves frames
   // of different geometry back to back.
@@ -214,8 +268,8 @@ TEST(MedianFilterSequenceTest, FrontEndFilteredMatchesReferenceEveryWindow) {
       ASSERT_EQ(frontEnd.lastFiltered(), reference.apply(frontEnd.lastEbbi()))
           << "filtered image diverged at window " << f;
       EXPECT_EQ(frontEnd.lastOps().medianFilter, reference.lastOps());
-      expectOccupancyCoversPixels(frontEnd.lastFiltered(),
-                                  static_cast<std::size_t>(f));
+      expectOccupancyExact(frontEnd.lastFiltered(),
+                           static_cast<std::size_t>(f));
     }
   }
 }

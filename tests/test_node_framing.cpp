@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/rng.hpp"
 #include "src/node/node_config.hpp"
+#include "src/sim/recording.hpp"
 
 namespace ebbiot {
 namespace {
@@ -34,6 +36,19 @@ EventPacket makeWindow(std::uint32_t i, TimeUs duration = 10'000) {
     p.push(e);
   }
   return p;
+}
+
+/// Bit-at-a-time IEEE CRC32 straight from the reflected polynomial: the
+/// differential twin of the slice-by-8 crc32().
+std::uint32_t crc32Bitwise(const std::byte* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= static_cast<std::uint32_t>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFU;
 }
 
 std::vector<std::byte> encodeOne(std::uint32_t seq, std::uint16_t sensor,
@@ -228,6 +243,59 @@ TEST(WireFormatTest, Crc32MatchesKnownVector) {
     bytes.push_back(static_cast<std::byte>(*p));
   }
   EXPECT_EQ(crc32(bytes), 0xCBF43926U);
+}
+
+TEST(WireFormatTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-80 cover the bytewise tail alone (< 8), every tail length
+  // after 1-10 eight-byte steps, and start offsets 0-7 cover every
+  // misalignment of the eight-byte loads.
+  Rng rng(77);
+  std::vector<std::byte> buf(8 + 80);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.uniformInt(0, 255));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const std::span<const std::byte> bytes(buf.data() + offset, len);
+      EXPECT_EQ(crc32(bytes), crc32Bitwise(bytes.data(), bytes.size()))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // All-ones and all-zero inputs stress the table rows at both ends.
+  for (const std::byte fill : {std::byte{0x00}, std::byte{0xFF}}) {
+    const std::vector<std::byte> flat(77, fill);
+    EXPECT_EQ(crc32(flat), crc32Bitwise(flat.data(), flat.size()));
+  }
+}
+
+TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
+  // Real traffic: SyntheticENG windows encoded as EBF1 frames, each
+  // thousands of bytes, must carry the reference CRC and parse back.
+  Recording rec = openRecording(scaledRecording(makeSyntheticEng(5), 0.01));
+  NodeConfig config;
+  FrameParser parser(config);
+  DecodedFrame frame;
+  std::size_t checkedBytes = 0;
+  for (std::uint32_t seq = 0; seq < 4; ++seq) {
+    const EventPacket window = rec.source->nextWindow(kDefaultFramePeriodUs);
+    const std::vector<std::byte> bytes = encodeOne(seq, 3, window);
+    const std::size_t crcOffset = bytes.size() - kFrameCrcSize;
+    const std::span<const std::byte> covered(bytes.data() + kFrameSeqOffset,
+                                             crcOffset - kFrameSeqOffset);
+    const std::uint32_t want = crc32Bitwise(covered.data(), covered.size());
+    EXPECT_EQ(crc32(covered), want) << "frame " << seq;
+    std::uint32_t stored = 0;
+    for (std::size_t i = kFrameCrcSize; i-- > 0;) {
+      stored = (stored << 8) | static_cast<std::uint32_t>(bytes[crcOffset + i]);
+    }
+    EXPECT_EQ(stored, want) << "frame " << seq;
+    parser.offer(bytes);
+    ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
+    EXPECT_EQ(frame.seq, seq);
+    EXPECT_EQ(frame.events.size(), window.size());
+    checkedBytes += bytes.size();
+  }
+  EXPECT_GT(checkedBytes, 4U * 1000U);  // frames long enough to matter
 }
 
 TEST(WireFormatTest, ParserRejectsInvalidConfig) {

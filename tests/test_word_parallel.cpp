@@ -191,24 +191,63 @@ TEST(WordRowAccessTest, EqualityIgnoresOccupancyCache) {
 }
 
 TEST(WordDownsampleTest, MatchesScalarAcrossFactorsAndShapes) {
+  // s1 covers blocks inside one word, straddling two, exactly one word and
+  // wider than a word (65, 100, 128: counted across several words); s2
+  // covers 1-4 carry-save bit-planes, up to the ablation grid's 24 x 12;
+  // 1-row frames take the s2 = 1 factors.
   std::uint64_t seed = 2000;
   for (double density : {0.0, 0.1, 0.5, 1.0}) {
-    for (int w : {64, 65, 66, 128, 240}) {
-      for (const auto& [s1, s2] : {std::pair{6, 3}, std::pair{3, 3},
-                                   std::pair{12, 6}, std::pair{1, 1},
-                                   std::pair{64, 2}, std::pair{7, 5}}) {
-        if (w / s1 == 0) {
-          continue;
+    for (int w : {64, 65, 66, 128, 240, 400}) {
+      for (int h : {45, 1}) {
+        for (const auto& [s1, s2] :
+             {std::pair{6, 3}, std::pair{3, 3}, std::pair{12, 6},
+              std::pair{1, 1}, std::pair{64, 2}, std::pair{7, 5},
+              std::pair{65, 3}, std::pair{100, 2}, std::pair{128, 4},
+              std::pair{24, 12}, std::pair{5, 8}, std::pair{2, 11},
+              std::pair{6, 1}, std::pair{65, 1}}) {
+          if (w / s1 == 0 || h / s2 == 0) {
+            continue;
+          }
+          const BinaryImage img = randomImage(w, h, density, seed++);
+          Downsampler down(s1, s2);
+          CountImage out;
+          down.downsampleInto(img, out);
+          EXPECT_EQ(out, downsampleScalar(img, s1, s2))
+              << "w=" << w << " h=" << h << " s1=" << s1 << " s2=" << s2;
         }
-        const BinaryImage img = randomImage(w, 45, density, seed++);
-        Downsampler down(s1, s2);
-        CountImage out;
-        down.downsampleInto(img, out);
-        EXPECT_EQ(out, downsampleScalar(img, s1, s2))
-            << "w=" << w << " s1=" << s1 << " s2=" << s2;
       }
     }
   }
+}
+
+TEST(WordDownsampleTest, StaleOccupancyRowsMatchScalar) {
+  // Rows whose pixels were all cleared keep their occupancy bit: the
+  // downsampler must count them as blank, alone in a block row or next
+  // to live rows, and through a reused output and plane scratch.
+  Downsampler down(6, 3);
+  CountImage out;
+  std::uint64_t seed = 4000;
+  for (int trial = 0; trial < 6; ++trial) {
+    BinaryImage img = randomImage(240, 180, 0.05, seed++);
+    Rng rng(seed++);
+    for (int y = 0; y < 180; y += 1 + static_cast<int>(rng.uniformInt(0, 4))) {
+      for (int x = 0; x < 240; ++x) {
+        img.set(x, y, false);  // blank row, occupancy bit left set
+      }
+    }
+    img.set(17, 100, true);
+    img.set(17, 100, false);  // stale bit inside an otherwise live band
+    down.downsampleInto(img, out);
+    EXPECT_EQ(out, downsampleScalar(img, 6, 3)) << "trial " << trial;
+  }
+  // A frame whose only occupied rows are stale downsamples to all zero.
+  BinaryImage stale(240, 180);
+  stale.set(5, 40, true);
+  stale.set(5, 40, false);
+  stale.set(200, 41, true);
+  stale.set(200, 41, false);
+  down.downsampleInto(stale, out);
+  EXPECT_EQ(out.totalMass(), 0U);
 }
 
 TEST(WordDownsampleTest, OpsAreClosedFormAndActivityIndependent) {

@@ -45,10 +45,13 @@ import sys
 # Stages whose per-frame loop must not allocate once warm (reused member
 # buffers; pinned by tests/test_allocation.cpp).  The reference trackers
 # and whole-pipeline benchmarks return Tracks by value (or keep deque
-# histories) and are excluded.
+# histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec)
+# is gated here but reports no ops_frame: the parser has no closed-form
+# ops model, so it is absent from OPS_PINNED_BENCHES.
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
+        "BM_FrameParserEng",
         "BM_MedianFilter",
         "BM_MedianFilterReference",
         "BM_DownsampleAndHistogram",
