@@ -4,7 +4,8 @@
 // it in time on the host CPU: EBBI build, median filter (word-parallel
 // and scalar reference), downsample + histograms, RPN, CCA, the three
 // trackers and the NN-filter, all on a realistic ENG-like frame, plus
-// the node's EBF1 frame parser on the same windows encoded for the wire.
+// the node's EBF1 frame parser on the same windows encoded for the wire
+// and the pixel latch that reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -24,6 +25,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/runner.hpp"
 #include "src/detect/cca_reference.hpp"
+#include "src/events/pixel_latch.hpp"
 #include "src/filters/median_filter_reference.hpp"
 #include "src/filters/nn_filter_reference.hpp"
 #include "src/node/wire_format.hpp"
@@ -275,8 +277,9 @@ BENCHMARK(BM_CcaRpnReference);
 void BM_FrameParserEng(benchmark::State& state) {
   // The node's ingest codec alone: FrameParser offer + next over the
   // bank's ENG windows encoded as EBF1 frames — CRC32 over every frame
-  // byte, then the event decode into a reused DecodedFrame.  The parser
-  // has no abstract ops model, so the cell reports time, bytes/s and
+  // byte and the in-place record checks — then decodeEventsInto a reused
+  // packet, as the session decodes into its queue slot.  The codec has
+  // no abstract ops model, so the cell reports time, bytes/s and
   // allocs_frame only.
   FrameBank& bank = FrameBank::instance();
   std::vector<std::vector<std::byte>> frames(bank.size());
@@ -285,12 +288,19 @@ void BM_FrameParserEng(benchmark::State& state) {
   }
   FrameParser parser{NodeConfig{}};
   DecodedFrame frame;
+  EventPacket window;
+  const auto decode = [&] {
+    const auto tStart = static_cast<TimeUs>(frame.windowStart32);
+    window.reset(tStart, tStart + frame.durationUs);
+    decodeEventsInto(frame, tStart, window);
+  };
   for (const std::vector<std::byte>& bytes : frames) {  // warm-up
     parser.offer(bytes);
     if (parser.next(frame) != FrameParser::Status::kFrame) {
       state.SkipWithError("encoded ENG frame rejected");
       return;
     }
+    decode();
   }
   StageCounters counters(state);
   std::size_t i = 0;
@@ -300,7 +310,8 @@ void BM_FrameParserEng(benchmark::State& state) {
     parser.offer(bytes);
     const FrameParser::Status status = parser.next(frame);
     benchmark::DoNotOptimize(status);
-    benchmark::DoNotOptimize(frame.events.data());
+    decode();
+    benchmark::DoNotOptimize(window.events().data());
     benchmark::ClobberMemory();
     bytesParsed += static_cast<std::int64_t>(bytes.size());
     counters.frame();
@@ -752,6 +763,28 @@ void BM_LatchReadout(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatchReadout);
+
+void BM_LatchEng(benchmark::State& state) {
+  // The latch kernel as the node sink and the runner drive it: one
+  // PixelLatch reading the bank's ENG stream windows out into a reused
+  // packet.  No abstract ops model; time and allocs_frame only.
+  FrameBank& bank = FrameBank::instance();
+  PixelLatch latch(240, 180);
+  EventPacket latched;
+  for (std::size_t w = 0; w < bank.size(); ++w) {
+    latch.readoutInto(bank.stream(w), latched);  // warm-up
+  }
+  StageCounters counters(state);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    latch.readoutInto(bank.stream(i++), latched);
+    benchmark::DoNotOptimize(latched.events().data());
+    benchmark::ClobberMemory();
+    counters.frame();
+  }
+  counters.report();
+}
+BENCHMARK(BM_LatchEng);
 
 void BM_RunRecordingRegistry(benchmark::State& state) {
   // The full evaluation harness: all registered variants over a short

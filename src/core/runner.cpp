@@ -7,6 +7,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/events/pixel_latch.hpp"
 
 namespace ebbiot {
 
@@ -156,8 +157,10 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
 
   // Front end of one window: stream draw, GT annotation, latch readout,
   // stream-stat accumulation.  Strictly sequential along frames (the
-  // source is stateful), so every accumulator it touches is updated in
-  // frame order regardless of which worker runs it.
+  // source is stateful), so every accumulator it touches — the latch
+  // included — is updated in frame order regardless of which worker runs
+  // it.
+  PixelLatch latch(width, height);
   auto frontEnd = [&](FrameSlot& slot) {
     slot.stream = source.nextWindow(config.framePeriod);
     front.streamEvents += slot.stream.size();
@@ -170,7 +173,8 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
 
     // Latched readout for the frame-domain pipelines.
     if (anyLatched) {
-      slot.latched = latchReadout(slot.stream, width, height);
+      EBBIOT_ASSERT(slot.stream.isTimeSorted());
+      latch.readoutInto(slot.stream, slot.latched);
       front.latchedEvents += slot.latched.size();
       const FrameStats stats = computeFrameStats(slot.stream, width, height);
       if (stats.activePixels > 0) {

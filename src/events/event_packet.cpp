@@ -1,6 +1,7 @@
 #include "src/events/event_packet.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/error.hpp"
 
@@ -39,7 +40,14 @@ void EventPacket::push(const Event& e) {
 
 std::span<Event> EventPacket::appendBuffer(std::size_t count) {
   appendBase_ = events_.size();
-  events_.resize(appendBase_ + count);
+  const std::size_t needed = appendBase_ + count;
+  if (needed > events_.capacity()) {
+    // Power-of-two capacities, as push() reaches from empty: resize()
+    // alone would reallocate to the exact size at every new largest
+    // window of a stream.
+    events_.reserve(std::bit_ceil(needed));
+  }
+  events_.resize(needed);
   return {events_.data() + appendBase_, count};
 }
 

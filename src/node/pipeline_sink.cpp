@@ -1,7 +1,5 @@
 #include "src/node/pipeline_sink.hpp"
 
-#include <algorithm>
-
 #include "src/common/error.hpp"
 
 namespace ebbiot {
@@ -9,14 +7,10 @@ namespace ebbiot {
 PipelineSink::PipelineSink(std::unique_ptr<Pipeline> pipeline, int width,
                            int height, const PipelineSinkConfig& config)
     : pipeline_(std::move(pipeline)),
-      width_(width),
-      height_(height),
-      config_(config) {
+      config_(config),
+      latch_(width, height) {
   EBBIOT_ASSERT(pipeline_ != nullptr);
-  EBBIOT_ASSERT(width_ > 0 && height_ > 0);
   snapshot_ = pipeline_->makeSnapshot();
-  latchEpochs_.resize(
-      static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_), 0);
 }
 
 void PipelineSink::onWindow(const EventPacket& window, std::uint32_t seq,
@@ -65,11 +59,11 @@ bool PipelineSink::coastIdle() {
 }
 
 void PipelineSink::trackWindow(const EventPacket& window, std::uint32_t seq) {
-  const EventPacket& input =
-      pipeline_->inputDomain() == InputDomain::kLatchedFrame
-          ? latchInto(window)
-          : window;
-  lastTracks_ = pipeline_->processWindow(input);
+  const bool latched = pipeline_->inputDomain() == InputDomain::kLatchedFrame;
+  if (latched) {
+    latch_.readoutInto(window, latched_);
+  }
+  lastTracks_ = pipeline_->processWindow(latched ? latched_ : window);
   ++counters_.windowsTracked;
   expectedSeq_ = seq + 1;
   lastTEnd_ = window.tEnd();
@@ -105,25 +99,6 @@ void PipelineSink::applyResync() {
 void PipelineSink::saveRollingSnapshot() {
   snapshotValid_ =
       snapshot_ != nullptr && pipeline_->saveState(*snapshot_);
-}
-
-const EventPacket& PipelineSink::latchInto(const EventPacket& window) {
-  if (++latchEpoch_ == 0) {
-    // Epoch counter wrapped: invalidate every stale marking once.
-    std::fill(latchEpochs_.begin(), latchEpochs_.end(), 0u);
-    latchEpoch_ = 1;
-  }
-  latched_.reset(window.tStart(), window.tEnd());
-  for (const Event& e : window) {
-    EBBIOT_ASSERT(e.x < width_ && e.y < height_);
-    std::uint32_t& cell =
-        latchEpochs_[static_cast<std::size_t>(e.y) * width_ + e.x];
-    if (cell != latchEpoch_) {
-      cell = latchEpoch_;
-      latched_.push(e);
-    }
-  }
-  return latched_;
 }
 
 }  // namespace ebbiot

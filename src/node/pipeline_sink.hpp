@@ -32,11 +32,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "src/common/time.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/events/event_packet.hpp"
+#include "src/events/pixel_latch.hpp"
 #include "src/node/sensor_session.hpp"
 
 namespace ebbiot {
@@ -80,7 +80,7 @@ class PipelineSink final : public WindowSink {
                                            const Tracks& tracks)>;
 
   /// Takes ownership of the pipeline.  `width`/`height` is the sensor
-  /// geometry used for the in-place latch readout of frame-domain
+  /// geometry of the latch that reads windows out for frame-domain
   /// pipelines.
   PipelineSink(std::unique_ptr<Pipeline> pipeline, int width, int height,
                const PipelineSinkConfig& config);
@@ -107,13 +107,8 @@ class PipelineSink final : public WindowSink {
   void coastOneWindow();
   void applyResync();
   void saveRollingSnapshot();
-  /// latchReadout() semantics (first event per pixel survives) into the
-  /// reused member packet — no per-window allocation once warm.
-  const EventPacket& latchInto(const EventPacket& window);
 
   std::unique_ptr<Pipeline> pipeline_;
-  int width_;
-  int height_;
   PipelineSinkConfig config_;
 
   bool primed_ = false;
@@ -125,10 +120,9 @@ class PipelineSink final : public WindowSink {
   std::unique_ptr<PipelineSnapshot> snapshot_;
   bool snapshotValid_ = false;
 
-  EventPacket latched_;      ///< reused latch-readout scratch
+  PixelLatch latch_;         ///< readout for frame-domain pipelines
+  EventPacket latched_;      ///< reused latch-readout output
   EventPacket coastWindow_;  ///< reused empty window for coasting
-  std::vector<std::uint32_t> latchEpochs_;  ///< per pixel, epoch marking
-  std::uint32_t latchEpoch_ = 0;
 
   Tracks lastTracks_;
   Counters counters_;

@@ -29,7 +29,6 @@ SensorSession::SensorSession(std::uint16_t sensorId, const NodeConfig& config)
       config_(config),
       parser_(config),  // validates the config
       queue_(config.queueCapacity) {
-  frame_.events.reserve(config.maxEventsPerFrame);
   latency_.resize(config.latencySampleCapacity);
 }
 
@@ -118,11 +117,7 @@ void SensorSession::processFrame(const DecodedFrame& frame, TimeUs now) {
   const TimeUs tEnd = tStart + frame.durationUs;
   const bool queued = queue_.tryEmplace([&](WindowSlot& slot) {
     slot.window.reset(tStart, tEnd);
-    for (const Event& e : frame.events) {
-      Event absolute = e;
-      absolute.t = tStart + e.t;  // decoded t holds the dt
-      slot.window.push(absolute);
-    }
+    decodeEventsInto(frame, tStart, slot.window);
     slot.seq = frame.seq;
     slot.ingestTime = now;
   });

@@ -197,7 +197,7 @@ class SensorSession {
   FrameParser parser_;
   TimestampUnwrapper unwrapper_;
   SpscQueue<WindowSlot> queue_;
-  DecodedFrame frame_;  ///< reused per decode (events capacity persists)
+  DecodedFrame frame_;  ///< header + record view of the frame in hand
 
   std::atomic<SessionState> state_{SessionState::kSyncing};
 

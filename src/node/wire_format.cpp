@@ -41,6 +41,12 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> makeCrcTables() {
 constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
     makeCrcTables();
 
+// Field offsets inside one kFrameEventSize-byte event record.
+constexpr std::size_t kEventXOffset = 0;
+constexpr std::size_t kEventYOffset = 2;
+constexpr std::size_t kEventPolarityOffset = 4;
+constexpr std::size_t kEventDtOffset = 5;
+
 template <typename T>
 void putLe(std::vector<std::byte>& out, T value) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -141,6 +147,23 @@ std::uint32_t frameSeq(std::span<const std::byte> frame) {
 void setFrameSeq(std::span<std::byte> frame, std::uint32_t value) {
   EBBIOT_ASSERT(frame.size() >= kFrameHeaderSize);
   storeLe(frame.data() + kFrameSeqOffset, value);
+}
+
+void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
+                      EventPacket& out) {
+  EBBIOT_ASSERT(frame.records.size() ==
+                std::size_t{frame.eventCount} * kFrameEventSize);
+  const std::byte* rec = frame.records.data();
+  for (Event& e : out.appendBuffer(frame.eventCount)) {
+    e.x = getLe<std::uint16_t>(rec + kEventXOffset);
+    e.y = getLe<std::uint16_t>(rec + kEventYOffset);
+    e.p = static_cast<Polarity>(
+        getLe<std::int8_t>(rec + kEventPolarityOffset));
+    e.t = tStart +
+          static_cast<TimeUs>(getLe<std::uint32_t>(rec + kEventDtOffset));
+    rec += kFrameEventSize;
+  }
+  out.commitAppended(frame.eventCount);
 }
 
 TimestampUnwrapper::Result TimestampUnwrapper::unwrap(std::uint32_t t32) {
@@ -258,27 +281,30 @@ FrameParser::Probe FrameParser::probe(DecodedFrame& out) {
   if (storedCrc != actualCrc) {
     return Probe::kCorrupt;
   }
+  // CRC-valid but semantically impossible events (a buggy or hostile
+  // sender) condemn the frame.  The records are checked in place, and the
+  // four checks of every record fold into one flag instead of a branch.
+  const std::byte* records = p + kFrameHeaderSize;
+  const std::size_t recordBytes = std::size_t{eventCount} * kFrameEventSize;
+  bool impossible = false;
+  for (const std::byte* rec = records; rec != records + recordBytes;
+       rec += kFrameEventSize) {
+    const auto x = getLe<std::uint16_t>(rec + kEventXOffset);
+    const auto y = getLe<std::uint16_t>(rec + kEventYOffset);
+    const auto rawP = getLe<std::int8_t>(rec + kEventPolarityOffset);
+    const auto dt = getLe<std::uint32_t>(rec + kEventDtOffset);
+    impossible |= ((rawP != 1) & (rawP != -1)) | (x >= width_) |
+                  (y >= height_) | (dt >= duration);
+  }
+  if (impossible) {
+    return Probe::kCorrupt;
+  }
   out.seq = getLe<std::uint32_t>(p + kFrameSeqOffset);
   out.sensorId = getLe<std::uint16_t>(p + kFrameSensorIdOffset);
   out.windowStart32 = getLe<std::uint32_t>(p + kFrameWindowStartOffset);
   out.durationUs = duration;
-  out.events.clear();
-  const std::byte* rec = p + kFrameHeaderSize;
-  for (std::uint32_t i = 0; i < eventCount; ++i, rec += kFrameEventSize) {
-    Event e;
-    e.x = getLe<std::uint16_t>(rec);
-    e.y = getLe<std::uint16_t>(rec + 2);
-    const auto rawP = getLe<std::int8_t>(rec + 4);
-    const std::uint32_t dt = getLe<std::uint32_t>(rec + 5);
-    if ((rawP != 1 && rawP != -1) || static_cast<int>(e.x) >= width_ ||
-        static_cast<int>(e.y) >= height_ || dt >= duration) {
-      // CRC-valid but semantically impossible: a buggy or hostile sender.
-      return Probe::kCorrupt;
-    }
-    e.p = static_cast<Polarity>(rawP);
-    e.t = static_cast<TimeUs>(dt);
-    out.events.push_back(e);
-  }
+  out.eventCount = eventCount;
+  out.records = {records, recordBytes};
   pos_ += total;
   return Probe::kFrame;
 }

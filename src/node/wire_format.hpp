@@ -82,16 +82,25 @@ void setFrameWindowStart32(std::span<std::byte> frame, std::uint32_t value);
 [[nodiscard]] std::uint32_t frameSeq(std::span<const std::byte> frame);
 void setFrameSeq(std::span<std::byte> frame, std::uint32_t value);
 
-/// One structurally valid, CRC-checked frame, decoded.  Event timestamps
-/// are still *relative* (Event::t = dt); the session adds the unwrapped
-/// 64-bit window start.
+/// One structurally valid, CRC-checked frame: the header decoded, the
+/// events validated but still encoded.  `records` views the frame's
+/// event records inside the FrameParser's reassembly buffer; it is valid
+/// only until the next offer() or next() on that parser.  Decode the
+/// events with decodeEventsInto() before then.
 struct DecodedFrame {
   std::uint32_t seq = 0;
   std::uint16_t sensorId = 0;
   std::uint32_t windowStart32 = 0;
   std::uint32_t durationUs = 0;
-  std::vector<Event> events;  ///< reused across frames; t holds dt
+  std::uint32_t eventCount = 0;
+  std::span<const std::byte> records;  ///< eventCount encoded events
 };
+
+/// Append `frame`'s events to `out` in wire order, each at absolute time
+/// tStart + dt.  `out`'s window must hold [tStart, tStart + durationUs)
+/// (checked per event), and `frame.records` must still be valid.
+void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
+                      EventPacket& out);
 
 /// Reconstructs monotonic 64-bit microsecond time from the wrapping
 /// 32-bit window-start values on the wire.  Forward steps (shortest
@@ -124,7 +133,7 @@ class TimestampUnwrapper {
 /// Streaming frame reassembler + validator with resync-on-corruption.
 ///
 /// offer() appends transport bytes (dropping, with a counter, anything
-/// beyond the bounded reassembly buffer); next() yields decoded frames
+/// beyond the bounded reassembly buffer); next() yields validated frames
 /// until the buffer holds no complete frame.  A corrupt prefix — wrong
 /// magic, implausible header, CRC mismatch, out-of-bounds event — is
 /// skipped byte by byte to the next magic candidate; each contiguous
@@ -164,6 +173,7 @@ class FrameParser {
  private:
   /// Result of examining the frame candidate at pos_.
   enum class Probe { kNeedMore, kFrame, kCorrupt, kNoMagic };
+  /// Checks the candidate in place; fills `out` only for kFrame.
   Probe probe(DecodedFrame& out);
   void compact();
   void skipForward();  ///< advance pos_ to the next magic candidate

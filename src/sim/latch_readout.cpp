@@ -1,25 +1,14 @@
-#include <vector>
-
 #include "src/common/error.hpp"
+#include "src/events/pixel_latch.hpp"
 #include "src/sim/davis.hpp"
 
 namespace ebbiot {
 
 EventPacket latchReadout(const EventPacket& packet, int width, int height) {
-  EBBIOT_ASSERT(width > 0 && height > 0);
   EBBIOT_ASSERT(packet.isTimeSorted());
-  std::vector<std::uint8_t> latched(
-      static_cast<std::size_t>(width) * static_cast<std::size_t>(height), 0);
-  EventPacket out(packet.tStart(), packet.tEnd());
-  for (const Event& e : packet) {
-    EBBIOT_ASSERT(e.x < width && e.y < height);
-    std::uint8_t& cell =
-        latched[static_cast<std::size_t>(e.y) * width + e.x];
-    if (cell == 0) {
-      cell = 1;
-      out.push(e);
-    }
-  }
+  PixelLatch latch(width, height);
+  EventPacket out;
+  latch.readoutInto(packet, out);
   return out;
 }
 

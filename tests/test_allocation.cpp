@@ -9,16 +9,22 @@
 // other test is unaffected beyond a relaxed atomic increment).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/alloc_counter.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/front_end.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/detect/cca_reference.hpp"
+#include "src/events/pixel_latch.hpp"
 #include "src/filters/nn_filter.hpp"
+#include "src/node/pipeline_sink.hpp"
 #include "src/node/sensor_session.hpp"
 #include "src/node/wire_format.hpp"
+#include "src/sim/davis.hpp"
 #include "src/trackers/ebms.hpp"
 
 namespace ebbiot {
@@ -169,11 +175,11 @@ TEST(AllocationAuditTest, SensorSessionHotPathAllocatesNothing) {
 #ifdef EBBIOT_ALLOC_COUNTER_DISABLED
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #endif
-  // The ingest hot path — offerBytes (parser reassembly + decode into the
-  // reused DecodedFrame) through the SPSC ring (per-slot EventPacket reset
-  // + push) to drainInto — must be allocation-free once every ring slot's
-  // window has grown to the stream's event count.  Frames are pre-encoded
-  // so only session machinery is measured.
+  // The ingest hot path — offerBytes (parser reassembly and in-place
+  // record checks, then decodeEventsInto the SPSC ring slot's reused
+  // EventPacket) to drainInto — must be allocation-free once every ring
+  // slot's window has grown to the stream's event count.  Frames are
+  // pre-encoded so only session machinery is measured.
   NodeConfig config;
   config.width = 64;
   config.height = 48;
@@ -225,6 +231,165 @@ TEST(AllocationAuditTest, SensorSessionHotPathAllocatesNothing) {
   EXPECT_EQ(session.counters().framesAccepted, 64U);
   EXPECT_EQ(sink.windows, 64U);
   EXPECT_EQ(sink.events, 64U * 40U);
+}
+
+TEST(AllocationAuditTest, AppendBufferGrowsGeometrically) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // A reused packet fed ever larger windows (a queue slot or latch output
+  // early in a stream) reallocates at powers of two, as push() does, not
+  // at every new largest window.
+  EventPacket packet;
+  const std::uint64_t before = gAllocations.load();
+  for (std::size_t n = 1; n <= 2000; ++n) {
+    packet.reset(0, 10);
+    for (Event& e : packet.appendBuffer(n)) {
+      e.t = 1;
+    }
+    packet.commitAppended(n);
+  }
+  // Capacities 1, 2, 4, ..., 2048: twelve allocations, not 2000.
+  EXPECT_LE(gAllocations.load() - before, 12U);
+  EXPECT_EQ(packet.size(), 2000U);
+}
+
+/// Window of `count` events on a 64×48 sensor, many landing on a pixel
+/// already fired, so the latch has duplicates to drop.
+EventPacket repeatingWindow(std::uint64_t seed, TimeUs tStart, int count) {
+  Rng rng(seed);
+  EventPacket packet(tStart, tStart + 10'000);
+  for (int i = 0; i < count; ++i) {
+    packet.push(Event{static_cast<std::uint16_t>(rng.uniformInt(0, 15)),
+                      static_cast<std::uint16_t>(rng.uniformInt(0, 47)),
+                      rng.chance(0.5) ? Polarity::kOn : Polarity::kOff,
+                      tStart + static_cast<TimeUs>(i) * 10});
+  }
+  return packet;
+}
+
+TEST(AllocationAuditTest, PixelLatchReadoutIntoAllocatesNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  PixelLatch latch(64, 48);
+  std::vector<EventPacket> windows;
+  for (int w = 0; w < 4; ++w) {
+    windows.push_back(repeatingWindow(40 + w, w * 10'000, 200 + 150 * w));
+  }
+  windows.emplace_back(40'000, 50'000);  // an empty window too
+  EventPacket out;
+  for (const EventPacket& w : windows) {
+    latch.readoutInto(w, out);  // warm-up: output capacity grows here
+  }
+  std::size_t kept = 0;
+  const std::uint64_t before = gAllocations.load();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const EventPacket& w : windows) {
+      latch.readoutInto(w, out);
+      kept += out.size();
+    }
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "PixelLatch::readoutInto allocated in steady state";
+  EXPECT_GT(kept, 0U);
+}
+
+/// Frame-domain stand-in for the sink test: counts what it is fed, keeps
+/// that count as its cross-window state, and supports snapshots.
+class StubLatchedPipeline final : public Pipeline {
+ public:
+  struct State {
+    std::uint64_t windows = 0;
+    std::uint64_t events = 0;
+  };
+  struct Snapshot final : PipelineSnapshot {
+    State state;
+  };
+
+  Tracks processWindow(const EventPacket& packet) override {
+    ++state_.windows;
+    state_.events += packet.size();
+    return {};
+  }
+  [[nodiscard]] OpCounts lastOps() const override { return {}; }
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] InputDomain inputDomain() const override {
+    return InputDomain::kLatchedFrame;
+  }
+  [[nodiscard]] std::unique_ptr<PipelineSnapshot> makeSnapshot()
+      const override {
+    return std::make_unique<Snapshot>();
+  }
+  bool saveState(PipelineSnapshot& out) const override {
+    auto* snapshot = dynamic_cast<Snapshot*>(&out);
+    if (snapshot == nullptr) {
+      return false;
+    }
+    snapshot->state = state_;
+    return true;
+  }
+  bool restoreState(const PipelineSnapshot& in) override {
+    const auto* snapshot = dynamic_cast<const Snapshot*>(&in);
+    if (snapshot == nullptr) {
+      return false;
+    }
+    state_ = snapshot->state;
+    return true;
+  }
+  void resetState() override { state_ = {}; }
+
+  [[nodiscard]] const State& state() const { return state_; }
+
+ private:
+  std::string name_ = "stub";
+  State state_;
+};
+
+TEST(AllocationAuditTest, PipelineSinkLatchAndSnapshotAllocateNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The sink's own work per window — the latch readout into its reused
+  // packet, the rolling snapshot save, gap coasting and a snapshot
+  // restore on resync — must be allocation-free once warm.
+  auto owned = std::make_unique<StubLatchedPipeline>();
+  const StubLatchedPipeline& stub = *owned;
+  PipelineSink sink(std::move(owned), 64, 48, PipelineSinkConfig{});
+  std::vector<EventPacket> windows;
+  for (int w = 0; w < 8; ++w) {
+    windows.push_back(repeatingWindow(60 + w, w * 10'000, 100 + 60 * w));
+  }
+  // Warm-up: the largest window first, then one of each path.
+  sink.onWindow(windows[7], 0, 0);
+  sink.onWindow(windows[0], 2, 0);   // gap of one: coasted
+  sink.onWindow(windows[1], 50, 0);  // unbridgeable: restored
+  const std::uint64_t before = gAllocations.load();
+  sink.onWindow(windows[2], 51, 0);
+  sink.onWindow(windows[3], 52, 0);
+  sink.onWindow(windows[4], 55, 0);  // gap of two: coasted
+  sink.onWindow(windows[5], 90, 0);  // unbridgeable: restored
+  EXPECT_TRUE(sink.coastIdle());
+  EXPECT_TRUE(sink.coastIdle());
+  sink.onWindow(windows[6], 91, 0);  // back after idle coasting: restored
+  sink.onWindow(windows[7], 92, 0);
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "PipelineSink allocated in steady state";
+  const PipelineSink::Counters& c = sink.counters();
+  EXPECT_EQ(c.windowsTracked, 9U);
+  EXPECT_EQ(c.gapsCoasted, 2U);
+  EXPECT_EQ(c.windowsCoasted, 5U);  // 1 + 2 gap windows, 2 idle
+  EXPECT_EQ(c.idleCoastWindows, 2U);
+  EXPECT_EQ(c.resyncRestores, 3U);
+  EXPECT_EQ(c.resyncResets, 0U);
+  // The stub saw every real window latched, and the restore after idle
+  // coasting rolled its two blind windows back: 9 real + 3 gap windows.
+  std::uint64_t latchedEvents = 0;
+  for (const std::size_t w : {7U, 0U, 1U, 2U, 3U, 4U, 5U, 6U, 7U}) {
+    latchedEvents += latchReadout(windows[w], 64, 48).size();
+  }
+  EXPECT_EQ(stub.state().windows, 12U);
+  EXPECT_EQ(stub.state().events, latchedEvents);
 }
 
 TEST(AllocationAuditTest, NnFilterFilterIntoAllocatesNothing) {

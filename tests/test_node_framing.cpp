@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -77,13 +78,18 @@ TEST(WireFormatTest, RoundTripPreservesEverything) {
   EXPECT_EQ(frame.sensorId, 7U);
   EXPECT_EQ(frame.windowStart32, static_cast<std::uint32_t>(w.tStart()));
   EXPECT_EQ(frame.durationUs, static_cast<std::uint32_t>(w.duration()));
-  ASSERT_EQ(frame.events.size(), w.size());
+  ASSERT_EQ(frame.eventCount, w.size());
+  // Decode at a start other than the wire's 32-bit field: every event
+  // must come out at tStart + its delta from the window start.
+  const TimeUs tStart = w.tStart() + (TimeUs{3} << 32);
+  EventPacket decoded(tStart, tStart + w.duration());
+  decodeEventsInto(frame, tStart, decoded);
+  ASSERT_EQ(decoded.size(), w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(frame.events[i].x, w[i].x);
-    EXPECT_EQ(frame.events[i].y, w[i].y);
-    EXPECT_EQ(frame.events[i].p, w[i].p);
-    // Decoded t carries the delta from the window start.
-    EXPECT_EQ(frame.events[i].t, w[i].t - w.tStart());
+    EXPECT_EQ(decoded[i].x, w[i].x);
+    EXPECT_EQ(decoded[i].y, w[i].y);
+    EXPECT_EQ(decoded[i].p, w[i].p);
+    EXPECT_EQ(decoded[i].t, tStart + (w[i].t - w.tStart()));
   }
   EXPECT_EQ(parser.next(frame), FrameParser::Status::kNeedMore);
   EXPECT_EQ(parser.counters().framesDecoded, 1U);
@@ -101,7 +107,8 @@ TEST(WireFormatTest, EmptyWindowRoundTrips) {
   DecodedFrame frame;
   ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
   EXPECT_EQ(frame.seq, 9U);
-  EXPECT_TRUE(frame.events.empty());
+  EXPECT_EQ(frame.eventCount, 0U);
+  EXPECT_TRUE(frame.records.empty());
   EXPECT_EQ(frame.windowStart32, 5'000U);
   EXPECT_EQ(frame.durationUs, 10'000U);
 }
@@ -175,31 +182,54 @@ TEST(WireFormatTest, ImplausibleEventCountRejectedWithoutAllocation) {
 }
 
 TEST(WireFormatTest, CrcValidButSemanticallyImpossibleEventsRejected) {
-  // Out-of-bounds coordinate with a refreshed CRC: a buggy or hostile
-  // sender the checksum alone cannot catch.
-  std::vector<std::byte> f0 = encodeOne(0, 7, makeWindow(0));
-  f0[kFrameHeaderSize] = std::byte{0xFF};  // event 0 x -> 255 >= width 64
-  refreshFrameCrc(f0);
-  const std::vector<std::byte> f1 = encodeOne(1, 7, makeWindow(1));
-
+  // Each of the four per-record checks, with a refreshed CRC: a buggy or
+  // hostile sender the checksum alone cannot catch.  The bad record goes
+  // first, in the middle and last, since the validation loop checks every
+  // record before it decides; each time a valid frame follows.
+  struct Poison {
+    const char* what;
+    std::size_t offset;  ///< byte within the record
+    std::byte value;
+  };
+  const Poison poisons[] = {
+      {"x 255 >= width 64", 0, std::byte{0xFF}},
+      {"y 255 >= height 48", 2, std::byte{0xFF}},
+      {"polarity 3", 4, std::byte{3}},
+      {"polarity 0", 4, std::byte{0}},
+      {"dt >= duration", 8, std::byte{0x01}},  // dt += 2^24 us
+  };
   FrameParser parser(testConfig());
-  parser.offer(f0);
-  parser.offer(f1);
   DecodedFrame frame;
-  ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
-  EXPECT_EQ(frame.seq, 1U);
-  EXPECT_EQ(parser.counters().framesCorrupted, 1U);
+  std::uint32_t seq = 0;
+  std::uint64_t corrupted = 0;
+  for (const Poison& poison : poisons) {
+    for (const std::size_t record : {0U, 2U, 4U}) {
+      const EventPacket bad = makeWindow(seq);
+      ASSERT_EQ(bad.size(), 5U);
+      std::vector<std::byte> f0 = encodeOne(seq, 7, bad);
+      f0[kFrameHeaderSize + record * kFrameEventSize + poison.offset] =
+          poison.value;
+      refreshFrameCrc(f0);
+      const EventPacket good = makeWindow(seq + 1);
+      const std::vector<std::byte> f1 = encodeOne(seq + 1, 7, good);
 
-  // Same for a polarity byte outside {1, -1}.
-  std::vector<std::byte> f2 = encodeOne(2, 7, makeWindow(2));
-  f2[kFrameHeaderSize + 4] = std::byte{3};
-  refreshFrameCrc(f2);
-  const std::vector<std::byte> f3 = encodeOne(3, 7, makeWindow(3));
-  parser.offer(f2);
-  parser.offer(f3);
-  ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
-  EXPECT_EQ(frame.seq, 3U);
-  EXPECT_EQ(parser.counters().framesCorrupted, 2U);
+      parser.offer(f0);
+      parser.offer(f1);
+      ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame)
+          << poison.what << " in record " << record;
+      EXPECT_EQ(frame.seq, seq + 1) << poison.what << " in record " << record;
+      EXPECT_EQ(parser.counters().framesCorrupted, ++corrupted)
+          << poison.what << " in record " << record;
+      EventPacket decoded(good.tStart(), good.tEnd());
+      decodeEventsInto(frame, good.tStart(), decoded);
+      EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), good.begin(),
+                             good.end()))
+          << poison.what << " in record " << record;
+      EXPECT_EQ(parser.next(frame), FrameParser::Status::kNeedMore);
+      seq += 2;
+    }
+  }
+  EXPECT_EQ(parser.counters().framesDecoded, corrupted);
 }
 
 TEST(WireFormatTest, ReassemblyBufferIsBounded) {
@@ -275,6 +305,7 @@ TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
   NodeConfig config;
   FrameParser parser(config);
   DecodedFrame frame;
+  EventPacket decoded;  // reused across frames, as a queue slot is
   std::size_t checkedBytes = 0;
   for (std::uint32_t seq = 0; seq < 4; ++seq) {
     const EventPacket window = rec.source->nextWindow(kDefaultFramePeriodUs);
@@ -292,7 +323,12 @@ TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
     parser.offer(bytes);
     ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
     EXPECT_EQ(frame.seq, seq);
-    EXPECT_EQ(frame.events.size(), window.size());
+    ASSERT_EQ(frame.eventCount, window.size());
+    decoded.reset(window.tStart(), window.tEnd());
+    decodeEventsInto(frame, window.tStart(), decoded);
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), window.begin(),
+                           window.end()))
+        << "frame " << seq;
     checkedBytes += bytes.size();
   }
   EXPECT_GT(checkedBytes, 4U * 1000U);  // frames long enough to matter

@@ -46,12 +46,14 @@ import sys
 # buffers; pinned by tests/test_allocation.cpp).  The reference trackers
 # and whole-pipeline benchmarks return Tracks by value (or keep deque
 # histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec)
-# is gated here but reports no ops_frame: the parser has no closed-form
-# ops model, so it is absent from OPS_PINNED_BENCHES.
+# and BM_LatchEng (the pixel latch) are gated here but report no
+# ops_frame: neither has a closed-form ops model, so both are absent from
+# OPS_PINNED_BENCHES.
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
         "BM_FrameParserEng",
+        "BM_LatchEng",
         "BM_MedianFilter",
         "BM_MedianFilterReference",
         "BM_DownsampleAndHistogram",
