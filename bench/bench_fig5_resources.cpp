@@ -129,7 +129,7 @@ int main() {
       "reimplementation measures ~%.0f ops/event, so the *measured* EBMS\n"
       "bar sits below the model's.  The memory comparison and the\n"
       "frame-domain measurements are implementation-faithful; see\n"
-      "EXPERIMENTS.md for the discussion.\n",
+      "README.md, \"Model gaps\", for the discussion.\n",
       9.0 * 4.0 + (169.0 + 1.6) * 2.0 + 11.0,
       ebms.filteredEventsPerFrame > 0.0
           ? (measuredEbms -

@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis annotations + annotated lock primitives.
 //
 // The scheduler and the pipelined runner rely on two kinds of concurrency
-// discipline: lock-protected shared state (the injector queue, the task
+// discipline: lock-protected shared state (the task queue, the task
 // nodes' successor lists) and lock-free ownership by construction (each
 // accumulator touched by exactly one task chain).  The first kind is
 // checkable at compile time: Clang's -Wthread-safety analysis proves that
@@ -18,7 +18,6 @@
 // Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -108,11 +107,9 @@ class CondVar {
   void notifyOne() { cv_.notify_one(); }
   void notifyAll() { cv_.notify_all(); }
 
-  template <typename Rep, typename Period>
-  void waitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout) {
-    cv_.wait_for(lock.lock_, timeout);
-  }
+  /// Block until notified (or woken spuriously): callers re-check their
+  /// condition under the lock in a loop.
+  void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
 
  private:
   std::condition_variable cv_;

@@ -1,4 +1,4 @@
-// Work-stealing scheduler for deterministic fan-out and stage graphs.
+// Single-queue task scheduler for deterministic fan-out and stage graphs.
 //
 // The evaluation harness parallelises *independent* units — one pipeline
 // per task within a frame (runRecording), one recording per task across a
@@ -9,21 +9,25 @@
 // dependency edges the caller declares.
 //
 // Two layers share one pool of workers:
-//   * parallelFor(n, fn) — the historical data-parallel API, now handed
-//     out in guided chunks through an atomic counter instead of
-//     one-index-per-lock; reentrant (a task body may call parallelFor or
-//     submit again — the waiting thread helps run queued tasks).
+//   * parallelFor(n, fn) — the data-parallel API, handed out in guided
+//     chunks through an atomic counter; reentrant (a task body may call
+//     parallelFor or submit again — the waiting thread helps run queued
+//     tasks).
 //   * submit(fn, deps) / wait(handle) — a task-graph API: a task becomes
 //     runnable when every dependency has *completed* (succeeded or
 //     threw), so a pipeline of unevenly-priced stages keeps every worker
 //     busy instead of idling at a per-stage barrier.
 //
-// Scheduling: each worker owns a Chase–Lev deque (lock-free push/pop at
-// the bottom, lock-free steal at the top).  Tasks made runnable by a
-// worker — dependency-successor dispatch, nested submits — go to that
-// worker's own deque; tasks submitted from outside the pool land in a
-// small mutex-guarded injector queue.  An idle worker drains its own
-// deque, then the injector, then steals from the other workers.
+// Scheduling: one queue guarded by one mutex.  Submitted tasks join its
+// back; tasks released by a finished dependency join its front, most
+// recently released first, so a task graph runs depth-first like a
+// work-first scheduler.  Every worker and helping waiter takes from the
+// front.  An idle thread spins on an atomic count of queued tasks (no
+// lock while idle), then parks on one condition variable; it parks only
+// after re-checking, under the mutex, that it still has nothing to do,
+// and every enqueue and every completion wakes the parked threads.  The
+// workloads run one or two threads with a handful of tasks per window,
+// so there is nothing for per-worker queues or stealing to win.
 //
 // The calling thread participates in the work while waiting, so
 // ThreadPool(1) spawns no workers, parallelFor degenerates to a plain
@@ -37,7 +41,6 @@
 #include <exception>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -60,8 +63,8 @@ struct TaskNode {
   /// Unmet dependencies + 1 submission guard; the task is enqueued when
   /// this reaches zero.
   std::atomic<std::uint32_t> unmet{1};
-  /// Set (release) after fn ran and `error` is in place; wait() spins /
-  /// helps until it observes this (acquire).
+  /// Set after fn ran and `error` is in place; wait() helps until it
+  /// observes this, and re-checks it under the pool mutex before parking.
   std::atomic<bool> done{false};
   std::exception_ptr error;
 
@@ -82,45 +85,6 @@ struct TaskNode {
       delete node;
     }
   }
-};
-
-/// Chase–Lev work-stealing deque (Chase & Lev, SPAA'05, with the C11
-/// orderings of Lê et al., PPoPP'13).  The owner pushes/pops at the
-/// bottom; thieves race on `top` with a CAS.  Orderings that the
-/// literature relaxes through standalone fences are folded into seq_cst
-/// operations on top/bottom instead — ThreadSanitizer does not model
-/// fences, and the happens-before edge thieves need for the task payload
-/// is carried by the bottom store/load pair.  Retired grow() arrays stay
-/// alive until destruction so a racing thief never reads freed memory.
-class StealDeque {
- public:
-  StealDeque();
-  ~StealDeque();
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only: push one task at the bottom.
-  void push(TaskNode* task);
-  /// Owner only: pop the most recently pushed task, or nullptr.
-  TaskNode* pop();
-  /// Any thread: steal the oldest task, or nullptr (empty or lost race).
-  TaskNode* steal();
-
- private:
-  struct Slab {
-    explicit Slab(std::size_t capacity);
-    std::size_t capacity;  ///< power of two
-    std::vector<std::atomic<TaskNode*>> slots;
-    std::atomic<TaskNode*>& at(std::int64_t i) {
-      return slots[static_cast<std::size_t>(i) & (capacity - 1)];
-    }
-  };
-  Slab* grow(Slab* old, std::int64_t bottom, std::int64_t top);
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Slab*> slab_;
-  std::vector<Slab*> retired_;  ///< owner-only; freed in the destructor
 };
 
 }  // namespace detail
@@ -192,31 +156,30 @@ class ThreadPool {
  private:
   friend struct detail::TaskNode;
 
-  void workerLoop(std::size_t worker);
-  void enqueue(detail::TaskNode* node) EBBIOT_EXCLUDES(injectorMutex_);
-  /// Called by task execution when a dependency count hits zero.
-  void makeRunnable(detail::TaskNode* node);
-  void execute(detail::TaskNode* node);
-  /// Next runnable task for this thread (worker or helper), or nullptr.
-  detail::TaskNode* findTask(std::size_t preferredVictim)
-      EBBIOT_EXCLUDES(injectorMutex_);
-  /// Run one queued task if any is available; returns whether one ran.
-  bool helpOnce();
-  void notifySleepers() EBBIOT_EXCLUDES(sleepMutex_);
+  void workerLoop() EBBIOT_EXCLUDES(mutex_);
+  /// Queue a runnable task: at the front if a finished dependency
+  /// `released` it, else (a submission) at the back.
+  void enqueue(detail::TaskNode* node, bool released)
+      EBBIOT_EXCLUDES(mutex_);
+  /// Drop one unmet dependency; enqueues the task when none is left.
+  void makeRunnable(detail::TaskNode* node, bool released);
+  void execute(detail::TaskNode* node) EBBIOT_EXCLUDES(mutex_);
+  /// Run the front queued task if there is one; returns whether one ran.
+  bool helpOnce() EBBIOT_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<detail::StealDeque>> deques_;  ///< per worker
 
-  Mutex injectorMutex_;
-  /// FIFO of tasks submitted from outside the pool's own workers.
-  std::deque<detail::TaskNode*> injector_ EBBIOT_GUARDED_BY(injectorMutex_);
-
-  std::atomic<bool> shutdown_{false};
-  std::atomic<int> sleepers_{0};
-  /// Pairs with sleepCv_: no fields are guarded (the sleep predicate is
-  /// the atomics above); the lock only closes the check-then-park race.
-  Mutex sleepMutex_;
-  CondVar sleepCv_;
+  Mutex mutex_;
+  /// Parked workers and waiters sleep here; enqueue() and completions
+  /// wake them.
+  CondVar wake_;
+  /// Runnable tasks; threads take from the front.
+  std::deque<detail::TaskNode*> queue_ EBBIOT_GUARDED_BY(mutex_);
+  bool shutdown_ EBBIOT_GUARDED_BY(mutex_) = false;
+  /// queue_.size(), readable without the mutex so idle probes never lock.
+  std::atomic<std::size_t> queued_{0};
+  /// Threads parked on wake_ or about to park (incremented under mutex_).
+  std::atomic<int> parked_{0};
 };
 
 /// Process-wide pool sized to the hardware, for sharding coarse

@@ -176,10 +176,15 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
       EBBIOT_ASSERT(slot.stream.isTimeSorted());
       latch.readoutInto(slot.stream, slot.latched);
       front.latchedEvents += slot.latched.size();
-      const FrameStats stats = computeFrameStats(slot.stream, width, height);
-      if (stats.activePixels > 0) {
-        front.alphaSum += stats.alpha;
-        front.betaSum += stats.beta;
+      // The latch keeps one event per active pixel, so its size is the
+      // window's active-pixel count: alpha and beta as computeFrameStats
+      // defines them, without a second pass over the window.
+      const std::size_t activePixels = slot.latched.size();
+      if (activePixels > 0) {
+        front.alphaSum += static_cast<double>(activePixels) /
+                          (static_cast<double>(width) * height);
+        front.betaSum += static_cast<double>(slot.stream.size()) /
+                         static_cast<double>(activePixels);
         ++front.activityFrames;
       }
     }

@@ -30,13 +30,6 @@ class EbbiBuilder {
   /// rediscovering occupancy every frame.
   void buildInto(const EventPacket& packet, BinaryImage& image);
 
-  /// Per-polarity variant: returns the combined EBBI and fills onImage /
-  /// offImage.  The paper keeps the original frame "since it might carry
-  /// more information necessary for classification at a later stage".
-  [[nodiscard]] BinaryImage buildWithPolarity(const EventPacket& packet,
-                                              BinaryImage& onImage,
-                                              BinaryImage& offImage);
-
   /// Ops performed by the most recent build call.
   /// ops-model: metered — one write per latched event as it lands.
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }

@@ -80,18 +80,10 @@ NodeSupervisor::PumpStats NodeSupervisor::pump(TimeUs now) {
       }
     }
   }
-  if (pool_.threadCount() == 1) {
-    // Inline fast path: no task nodes, no std::function captures — the
-    // single-sensor bench steady state stays allocation-free.
-    for (Entry& entry : entries_) {
-      entry.delivered = entry.session->drainInto(*entry.sink, now);
-    }
-  } else {
-    pool_.parallelFor(entries_.size(), [this, now](std::size_t i) {
-      entries_[i].delivered = entries_[i].session->drainInto(
-          *entries_[i].sink, now);
-    });
-  }
+  pool_.parallelFor(entries_.size(), [this, now](std::size_t i) {
+    entries_[i].delivered =
+        entries_[i].session->drainInto(*entries_[i].sink, now);
+  });
   for (const Entry& entry : entries_) {
     stats.windowsDelivered += entry.delivered;
   }

@@ -3,12 +3,11 @@
 // A NodeSupervisor owns one SensorSession per registered sensor and
 // drives the consumer half of all of them:
 //
-//   * pump(now) drains every session into its sensor's WindowSink,
-//     sharding the drains across the work-stealing ThreadPool (PR 6) —
-//     one task per session, each writing into its own pre-sized slot,
-//     so which worker drains which sensor never changes any result.
-//     With a single-thread pool the drains run inline, in registration
-//     order, with no task-graph machinery at all.
+//   * pump(now) drains every session into its sensor's WindowSink
+//     through ThreadPool::parallelFor — one index per session, each
+//     writing into its own pre-sized slot, so which thread drains which
+//     sensor never changes any result.  On a single-thread pool that is
+//     an in-order loop in registration order, and it allocates nothing.
 //   * Overload valve: when the summed backlog across sessions exceeds
 //     NodeConfig::shedBacklogWindows, pump() sheds *whole sensors* —
 //     lowest priority first — by discarding their entire pending

@@ -9,14 +9,15 @@
 // gamma_merge = 0.1, CLmax = 8).
 //
 // Two places where the paper's printed numbers differ from its own
-// formulas are modelled explicitly (see EXPERIMENTS.md for the analysis):
+// formulas are modelled explicitly (README.md, "Model gaps", has the
+// analysis):
 //   * C_RPN: the formula (Eq. 5) gives 48.0 kops/frame at the defaults;
 //     the printed "45.6 kop/frame" corresponds to charging only ONE of the
 //     two histograms (A*B + A*B/(s1*s2)).  rpnCost() exposes both via
 //     RpnCostParams::printedVariant.
 //   * M_EBMS: Eq. (8) is stated in bits (408*CLmax + 56 = 3320 bits), but
 //     the text reads it as "3.32 kB".  ebmsCost() returns the equation's
-//     bits; the Fig. 5 bench prints both readings.
+//     bits; bench_costmodels prints both readings.
 #pragma once
 
 #include <cstdint>

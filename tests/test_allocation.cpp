@@ -16,11 +16,13 @@
 
 #include "src/common/alloc_counter.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/front_end.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/detect/cca_reference.hpp"
 #include "src/events/pixel_latch.hpp"
 #include "src/filters/nn_filter.hpp"
+#include "src/node/node_supervisor.hpp"
 #include "src/node/pipeline_sink.hpp"
 #include "src/node/sensor_session.hpp"
 #include "src/node/wire_format.hpp"
@@ -231,6 +233,75 @@ TEST(AllocationAuditTest, SensorSessionHotPathAllocatesNothing) {
   EXPECT_EQ(session.counters().framesAccepted, 64U);
   EXPECT_EQ(sink.windows, 64U);
   EXPECT_EQ(sink.events, 64U * 40U);
+}
+
+TEST(AllocationAuditTest, NodeSupervisorPumpOnOneThreadAllocatesNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // pump() hands its drains to parallelFor; on a one-thread pool that is
+  // an in-order loop, and the [this, now] closure fits std::function's
+  // small buffer, so a warm pump over several sensors allocates nothing.
+  NodeConfig config;
+  config.width = 64;
+  config.height = 48;
+  config.maxEventsPerFrame = 64;
+  ThreadPool pool(1);
+  NodeSupervisor supervisor(config, pool);
+
+  struct CountingSink final : WindowSink {
+    std::size_t windows = 0;
+    void onWindow(const EventPacket& /*window*/, std::uint32_t /*seq*/,
+                  TimeUs /*ingestTime*/) override {
+      ++windows;
+    }
+  };
+  constexpr std::uint16_t kSensors = 3;
+  std::vector<CountingSink> sinks(kSensors);
+  for (std::uint16_t id = 0; id < kSensors; ++id) {
+    supervisor.addSensor({id, 0, &sinks[id]});
+  }
+
+  constexpr TimeUs kPeriod = 10'000;
+  std::vector<std::vector<std::byte>> frames;  // [seq * kSensors + id]
+  for (std::uint32_t seq = 0; seq < 64; ++seq) {
+    const TimeUs tStart = static_cast<TimeUs>(seq) * kPeriod;
+    for (std::uint16_t id = 0; id < kSensors; ++id) {
+      EventPacket window(tStart, tStart + kPeriod);
+      for (std::uint32_t j = 0; j < 30; ++j) {
+        window.push(Event{static_cast<std::uint16_t>((seq + 3 * j + id) % 64),
+                          static_cast<std::uint16_t>((seq + j) % 48),
+                          Polarity::kOn,
+                          tStart + static_cast<TimeUs>(j) * 100});
+      }
+      frames.emplace_back();
+      encodeFrame(frames.back(), seq, id, window);
+    }
+  }
+  const auto step = [&](std::uint32_t seq) {
+    const TimeUs now = static_cast<TimeUs>(seq + 1) * kPeriod;
+    for (std::uint16_t id = 0; id < kSensors; ++id) {
+      supervisor.offerBytes(id, frames[seq * kSensors + id], now);
+    }
+    return supervisor.pump(now).windowsDelivered;
+  };
+
+  // Warm-up: cycle every ring slot so each slot's window reaches capacity.
+  std::uint32_t seq = 0;
+  for (; seq < 32; ++seq) {
+    (void)step(seq);
+  }
+  std::size_t delivered = 0;
+  const std::uint64_t before = gAllocations.load();
+  for (; seq < 64; ++seq) {
+    delivered += step(seq);
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U)
+      << "NodeSupervisor::pump allocated in steady state";
+  EXPECT_EQ(delivered, 32U * kSensors);
+  for (const CountingSink& sink : sinks) {
+    EXPECT_EQ(sink.windows, 64U);
+  }
 }
 
 TEST(AllocationAuditTest, AppendBufferGrowsGeometrically) {

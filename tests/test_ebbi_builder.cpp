@@ -83,23 +83,6 @@ TEST(EbbiBuilderTest, OpsCountMemoryWritesPerEvent) {
   EXPECT_EQ(builder.lastOps().total(), 7U);
 }
 
-TEST(EbbiBuilderTest, PolaritySplitImages) {
-  EbbiBuilder builder(16, 16);
-  EventPacket p(0, 1000);
-  p.push(Event{1, 1, Polarity::kOn, 1});
-  p.push(Event{2, 2, Polarity::kOff, 2});
-  p.push(Event{3, 3, Polarity::kOn, 3});
-  BinaryImage on;
-  BinaryImage off;
-  const BinaryImage combined = builder.buildWithPolarity(p, on, off);
-  EXPECT_EQ(combined.popcount(), 3U);
-  EXPECT_EQ(on.popcount(), 2U);
-  EXPECT_EQ(off.popcount(), 1U);
-  EXPECT_TRUE(on.get(1, 1));
-  EXPECT_TRUE(off.get(2, 2));
-  EXPECT_FALSE(on.get(2, 2));
-}
-
 TEST(EbbiBuilderTest, EmptyPacketGivesBlankImage) {
   EbbiBuilder builder(16, 16);
   BinaryImage img(16, 16);

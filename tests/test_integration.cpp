@@ -99,9 +99,9 @@ TEST_F(EngShortRun, MeasuredOpsFollowFig5Structure) {
   // EBMS chain (Eq. 2 + Eq. 8) costs a multiple of the EBBIOT chain
   // (Eq. 1 + 5 + 6).  (The measured EBMS ops sit below Eq. (8)'s — our
   // reimplementation is leaner than the jAER-style tracker the paper
-  // modelled; see EXPERIMENTS.md — so the model is compared at the
-  // measured alpha/beta/NF, and the measured assertions below check the
-  // structural claims that are implementation-independent.)
+  // modelled; see README.md, "Model gaps" — so the model is compared at
+  // the measured alpha/beta/NF, and the measured assertions below check
+  // the structural claims that are implementation-independent.)
   PipelineCostParams params;
   params.ebbi.alpha = result_->meanAlpha;
   params.nnFilt.alpha = result_->meanAlpha;

@@ -141,6 +141,27 @@ TEST(RunnerTest, MeanStatsPopulated) {
   EXPECT_GT(result.stats("EBBIOT")->meanOpsPerFrame(), 0.0);
 }
 
+TEST(RunnerTest, MeanAlphaBetaEqualStreamStats) {
+  // The runner derives alpha and beta from the latch readout; they must
+  // be the very doubles StreamStatsAccumulator computes from the same
+  // windows, drawn here from a second source with the same spec.
+  for (const int threads : {1, 2}) {
+    Fixture fix;
+    RunnerConfig config = makeDefaultRunnerConfig(240, 180);
+    config.threads = threads;
+    const RunResult result =
+        runRecording(*fix.synth, fix.scene, secondsToUs(4.0), config);
+    Fixture twin;
+    StreamStatsAccumulator expected(240, 180);
+    for (std::size_t f = 0; f < result.frames; ++f) {
+      expected.addPacket(twin.synth->nextWindow(config.framePeriod));
+    }
+    EXPECT_GT(result.meanAlpha, 0.0);
+    EXPECT_EQ(result.meanAlpha, expected.meanAlpha()) << threads;
+    EXPECT_EQ(result.meanBeta, expected.meanBeta()) << threads;
+  }
+}
+
 TEST(RunnerTest, ToRecordingResultCarriesWeights) {
   Fixture fix;
   const RunnerConfig config = makeDefaultRunnerConfig(240, 180);

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -123,8 +125,8 @@ TEST(ThreadPoolTest, MultiThrowAcrossThreadsSurvivesAndRethrowsOne) {
 
 TEST(ThreadPoolTest, StealHeavyStressSkewedCosts) {
   // Heavily skewed per-index costs: a handful of indices dominate, so
-  // the guided chunks of the fast indices must migrate to idle workers
-  // through the steal path for the pool to finish at all promptly.
+  // the guided chunks of the fast indices must go to whichever threads
+  // are idle for the pool to finish at all promptly.
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 512;
   std::vector<std::uint64_t> out(kTasks, 0);
@@ -155,7 +157,7 @@ TEST(ThreadPoolTest, NestedParallelForFromTasks) {
 TEST(ThreadPoolTest, NestedSubmitRecursiveTree) {
   // Tasks submit subtasks and block on them: a binary tree of depth 6,
   // counted at every node.  Waiting inside a worker must help-execute
-  // queued tasks (its own deque or steals) for the tree to complete.
+  // queued tasks for the tree to complete.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   std::function<void(int)> node = [&](int depth) {
@@ -263,7 +265,8 @@ TEST(TaskGraphTest, DestructorAbandonsQueuedTasks) {
     ThreadPool pool(1);
     first = pool.submit([&] { ++ran; });
     last = pool.submit([&] { ++ran; }, {first});
-    // No wait(): both tasks are still in the injector when the pool dies.
+    // No wait(): `first` is still queued, and `last` still waits on it,
+    // when the pool dies.
   }
   EXPECT_EQ(ran.load(), 0);
   EXPECT_TRUE(first.valid());
@@ -274,7 +277,7 @@ TEST(TaskGraphTest, DestructorAbandonsQueuedTasks) {
 
 TEST(TaskGraphTest, DestructorAbandonsLongDependencyChain) {
   // A deep never-dispatched chain: each node holds a reference to its
-  // successor, and only the head sits in the injector.  The destructor's
+  // successor, and only the head sits in the queue.  The destructor's
   // release must cascade down the whole chain (ASan checks the frees).
   std::atomic<int> ran{0};
   TaskHandle tail;
@@ -333,11 +336,58 @@ TEST(TaskGraphTest, AbandonedTaskIsUsableAsDependencyInAnotherPool) {
 }
 
 TEST(ThreadPoolTest, ImmediateDestructionIsClean) {
-  // Construct-and-destroy with no work: workers park on the timed wait
-  // and must all observe shutdown promptly.  Looped to shake the
-  // park/notify race the destructor's sleepMutex_ section closes.
+  // Construct-and-destroy with no work: workers park and must all
+  // observe shutdown promptly.  Looped to shake the race between a
+  // worker's re-check under the pool mutex and the destructor's
+  // shutdown store.
   for (int i = 0; i < 50; ++i) {
     ThreadPool pool(4);
+  }
+}
+
+// --- Parking ------------------------------------------------------------
+//
+// An idle thread parks untimed, so only a wake-up gets it going again.
+// These tests hang (and ctest's timeout fails them) if a wake-up is lost.
+
+TEST(ThreadPoolTest, ParkedWorkerWakesForQueuedTask) {
+  // After the sleep the worker is parked.  A spins until B has run, so
+  // whichever thread takes A, the other must be woken to run B.
+  ThreadPool pool(2);
+  for (int round = 0; round < 4; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::atomic<bool> flag{false};
+    const TaskHandle a = pool.submit([&flag] {
+      while (!flag.load()) {
+        std::this_thread::yield();
+      }
+    });
+    const TaskHandle b = pool.submit([&flag] { flag = true; });
+    pool.wait(a);
+    pool.wait(b);
+    EXPECT_TRUE(flag.load());
+  }
+}
+
+TEST(ThreadPoolTest, ParkedWaiterWakesOnCompletion) {
+  // The task starts on the worker before the caller waits (the caller
+  // does not help until wait()), and sleeps past the caller's spin
+  // phase: the caller parks, and the completion must wake it.
+  ThreadPool pool(2);
+  for (int round = 0; round < 4; ++round) {
+    std::atomic<bool> started{false};
+    std::thread::id runner;
+    const TaskHandle slow = pool.submit([&] {
+      runner = std::this_thread::get_id();
+      started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    while (!started.load()) {
+      std::this_thread::yield();
+    }
+    pool.wait(slow);
+    EXPECT_TRUE(slow.done());
+    EXPECT_NE(runner, std::this_thread::get_id());
   }
 }
 
