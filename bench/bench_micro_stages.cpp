@@ -4,8 +4,8 @@
 // it in time on the host CPU: EBBI build, median filter (word-parallel
 // and scalar reference), downsample + histograms, RPN, CCA, the three
 // trackers and the NN-filter, all on a realistic ENG-like frame, plus
-// the node's EBF1 frame parser on the same windows encoded for the wire
-// and the pixel latch that reads them out.
+// the node's EBF1 frame parser and its CRC32 on the same windows encoded
+// for the wire, and the pixel latch that reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -320,6 +320,30 @@ void BM_FrameParserEng(benchmark::State& state) {
   state.SetBytesProcessed(bytesParsed);
 }
 BENCHMARK(BM_FrameParserEng);
+
+void BM_Crc32Eng(benchmark::State& state) {
+  // The check inside FrameParserEng, alone: the dispatched crc32() over
+  // the bank's ENG windows encoded as EBF1 frames (whole frames, 8 bytes
+  // more than the parser covers).  No abstract ops model; time, bytes/s
+  // and allocs_frame only.
+  FrameBank& bank = FrameBank::instance();
+  std::vector<std::vector<std::byte>> frames(bank.size());
+  for (std::size_t w = 0; w < bank.size(); ++w) {
+    encodeFrame(frames[w], static_cast<std::uint32_t>(w), 0, bank.stream(w));
+  }
+  StageCounters counters(state);
+  std::size_t i = 0;
+  std::int64_t bytesChecked = 0;
+  for (auto _ : state) {
+    const std::vector<std::byte>& bytes = frames[i++ % frames.size()];
+    benchmark::DoNotOptimize(crc32(bytes));
+    bytesChecked += static_cast<std::int64_t>(bytes.size());
+    counters.frame();
+  }
+  counters.report();
+  state.SetBytesProcessed(bytesChecked);
+}
+BENCHMARK(BM_Crc32Eng);
 
 void BM_OverlapTracker(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();

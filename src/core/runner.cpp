@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
@@ -254,6 +255,19 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
     ThreadPool pool(threadCount);
     constexpr std::size_t kSlots = 3;
     std::array<FrameSlot, kSlots> slots;
+    // One record per (slot, pipeline), so a pipeline task's closure is
+    // two pointers: std::function keeps it inline instead of allocating.
+    struct PipelineJob {
+      std::size_t pipeline;
+      const FrameSlot* slot;
+    };
+    std::vector<PipelineJob> jobs;
+    jobs.reserve(kSlots * pipelineCount);
+    for (const FrameSlot& slot : slots) {
+      for (std::size_t i = 0; i < pipelineCount; ++i) {
+        jobs.push_back({i, &slot});
+      }
+    }
     std::array<std::vector<TaskHandle>, kSlots> slotUsers;
     TaskHandle frontPrev;
     std::vector<TaskHandle> pipePrev(pipelineCount);
@@ -280,9 +294,13 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
       TaskHandle front = pool.submit([&frontEnd, &slot] { frontEnd(slot); },
                                      {frontPrev});
       for (std::size_t i = 0; i < pipelineCount; ++i) {
-        TaskHandle task = pool.submit(
-            [&processPipeline, i, &slot] { processPipeline(i, slot); },
-            {front, pipePrev[i]});
+        auto run = [&processPipeline, job = &jobs[s * pipelineCount + i]] {
+          processPipeline(job->pipeline, *job->slot);
+        };
+        static_assert(sizeof(run) <= 2 * sizeof(void*) &&
+                          std::is_trivially_copyable_v<decltype(run)>,
+                      "pipeline task must fit std::function's inline buffer");
+        TaskHandle task = pool.submit(run, {front, pipePrev[i]});
         pipePrev[i] = task;
         slotUsers[s].push_back(std::move(task));
       }

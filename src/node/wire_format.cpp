@@ -1,7 +1,6 @@
 #include "src/node/wire_format.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
 
@@ -9,37 +8,6 @@
 
 namespace ebbiot {
 namespace {
-
-constexpr std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-/// Slice-by-8 tables: kCrcTables[0] is the bytewise table and
-/// kCrcTables[s][i] is the CRC of byte i followed by s zero bytes, so one
-/// step folds eight input bytes with eight independent lookups (8 KB of
-/// static data).
-constexpr std::array<std::array<std::uint32_t, 256>, 8> makeCrcTables() {
-  std::array<std::array<std::uint32_t, 256>, 8> tables{};
-  tables[0] = makeCrcTable();
-  for (std::size_t s = 1; s < tables.size(); ++s) {
-    for (std::size_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables[s - 1][i];
-      tables[s][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
-    }
-  }
-  return tables;
-}
-
-constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
-    makeCrcTables();
 
 // Field offsets inside one kFrameEventSize-byte event record.
 constexpr std::size_t kEventXOffset = 0;
@@ -73,23 +41,6 @@ void storeLe(std::byte* p, T value) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::byte> bytes) {
-  const auto& t = kCrcTables;
-  std::uint32_t c = 0xFFFFFFFFu;
-  const std::byte* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint64_t v = getLe<std::uint64_t>(p) ^ c;
-    c = t[7][v & 0xFFu] ^ t[6][(v >> 8) & 0xFFu] ^ t[5][(v >> 16) & 0xFFu] ^
-        t[4][(v >> 24) & 0xFFu] ^ t[3][(v >> 32) & 0xFFu] ^
-        t[2][(v >> 40) & 0xFFu] ^ t[1][(v >> 48) & 0xFFu] ^ t[0][v >> 56];
-  }
-  for (; n > 0; ++p, --n) {
-    c = t[0][(c ^ static_cast<std::uint32_t>(*p)) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 void encodeFrame(std::vector<std::byte>& out, std::uint32_t seq,
                  std::uint16_t sensorId, const EventPacket& window) {

@@ -58,8 +58,20 @@ inline constexpr std::size_t kFrameCrcSize = 4;
   return kFrameHeaderSize + eventCount * kFrameEventSize + kFrameCrcSize;
 }
 
-/// CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte span.
+/// CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte span.  Runs the
+/// carry-less-multiply kernel where the CPU has PCLMULQDQ and SSE4.1
+/// (checked once per process), the portable slice-by-8 kernel elsewhere;
+/// both return the same value for every input.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes);
+
+namespace detail {
+/// The kernels behind crc32(), exposed so tests can pin each one against
+/// a bitwise reference on any host.
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::byte>);
+[[nodiscard]] std::uint32_t crc32Portable(std::span<const std::byte> bytes);
+/// The PCLMULQDQ kernel, or nullptr where the CPU cannot run it.
+[[nodiscard]] Crc32Kernel crc32ClmulKernel();
+}  // namespace detail
 
 /// Append one encoded frame for `window` to `out`.  The window duration
 /// and every event delta must fit 32 bits (window < ~71.6 min — asserted);

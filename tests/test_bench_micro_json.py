@@ -189,6 +189,23 @@ class ConverterCase(unittest.TestCase):
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("BM_LatchEng", result.stderr)
 
+    def test_crc_bench_alloc_gated_without_ops(self):
+        # The CRC32 alone has no closed-form ops either: gated for
+        # allocations, absent from the ops baseline.
+        self.assertIn("BM_Crc32Eng", STEADY)
+        self.assertNotIn("BM_Crc32Eng", PINNED)
+        del self.bench("BM_Crc32Eng")["ops_frame"]
+        baseline = self.write_baseline()
+        self.assertNotIn("BM_Crc32Eng",
+                         json.loads(baseline.read_text())["ops_per_frame"])
+        result, _ = self.run_tool(
+            "--fail-on-steady-allocs", f"--fail-on-ops-regression={baseline}")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.bench("BM_Crc32Eng")["allocs_frame"] = 0.02
+        result, _ = self.run_tool("--fail-on-steady-allocs")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_Crc32Eng", result.stderr)
+
     def test_steady_alloc_counter_missing_fails(self):
         del self.bench(STEADY[0])["allocs_frame"]
         result, _ = self.run_tool("--fail-on-steady-allocs")

@@ -40,7 +40,7 @@ EventPacket makeWindow(std::uint32_t i, TimeUs duration = 10'000) {
 }
 
 /// Bit-at-a-time IEEE CRC32 straight from the reflected polynomial: the
-/// differential twin of the slice-by-8 crc32().
+/// reference that pins both kernels behind crc32() and the dispatch.
 std::uint32_t crc32Bitwise(const std::byte* data, std::size_t size) {
   std::uint32_t c = 0xFFFFFFFFU;
   for (std::size_t i = 0; i < size; ++i) {
@@ -265,6 +265,40 @@ TEST(WireFormatTest, SeqAndWindowStartFieldAccessors) {
   EXPECT_EQ(frame.windowStart32, 123'456U);
 }
 
+/// Pins `kernel` to crc32Bitwise.  Lengths 0-1100 cover inputs under 64
+/// bytes (the slice-by-8 loop alone), 1-17 fold steps of 64 bytes, 0-3
+/// trailing 16-byte blocks and every 0-15-byte tail after them; start
+/// offsets 0-15 cover every misalignment of the 8- and 16-byte loads.
+void expectMatchesBitwise(detail::Crc32Kernel kernel) {
+  Rng rng(77);
+  std::vector<std::byte> buf(16 + 1100);
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(rng.uniformInt(0, 255));
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::byte> bytes(buf.data() + offset, len);
+      ASSERT_EQ(kernel(bytes), crc32Bitwise(bytes.data(), bytes.size()))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // A 64 KiB random buffer: 1024 fold steps of 64 bytes.
+  std::vector<std::byte> big(64 * 1024);
+  for (std::byte& b : big) {
+    b = static_cast<std::byte>(rng.uniformInt(0, 255));
+  }
+  EXPECT_EQ(kernel(big), crc32Bitwise(big.data(), big.size()));
+  // All-zero and all-ones inputs stress the table rows and the fold
+  // lanes at both ends.
+  for (const std::byte fill : {std::byte{0x00}, std::byte{0xFF}}) {
+    for (const std::size_t len : {77U, 4099U}) {
+      const std::vector<std::byte> flat(len, fill);
+      EXPECT_EQ(kernel(flat), crc32Bitwise(flat.data(), flat.size()))
+          << "fill " << static_cast<int>(fill) << " length " << len;
+    }
+  }
+}
+
 TEST(WireFormatTest, Crc32MatchesKnownVector) {
   // IEEE CRC32 of "123456789" is the classic check value 0xCBF43926.
   const char* digits = "123456789";
@@ -273,29 +307,27 @@ TEST(WireFormatTest, Crc32MatchesKnownVector) {
     bytes.push_back(static_cast<std::byte>(*p));
   }
   EXPECT_EQ(crc32(bytes), 0xCBF43926U);
+  EXPECT_EQ(detail::crc32Portable(bytes), 0xCBF43926U);
+  if (const detail::Crc32Kernel clmul = detail::crc32ClmulKernel()) {
+    EXPECT_EQ(clmul(bytes), 0xCBF43926U);
+  }
 }
 
 TEST(WireFormatTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Lengths 0-80 cover the bytewise tail alone (< 8), every tail length
-  // after 1-10 eight-byte steps, and start offsets 0-7 cover every
-  // misalignment of the eight-byte loads.
-  Rng rng(77);
-  std::vector<std::byte> buf(8 + 80);
-  for (std::byte& b : buf) {
-    b = static_cast<std::byte>(rng.uniformInt(0, 255));
+  // The dispatched crc32(), whichever kernel this CPU runs.
+  expectMatchesBitwise(&crc32);
+}
+
+TEST(WireFormatTest, Crc32PortableKernelMatchesBitwiseReference) {
+  expectMatchesBitwise(&detail::crc32Portable);
+}
+
+TEST(WireFormatTest, Crc32ClmulKernelMatchesBitwiseReference) {
+  const detail::Crc32Kernel clmul = detail::crc32ClmulKernel();
+  if (clmul == nullptr) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
   }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 80; ++len) {
-      const std::span<const std::byte> bytes(buf.data() + offset, len);
-      EXPECT_EQ(crc32(bytes), crc32Bitwise(bytes.data(), bytes.size()))
-          << "offset " << offset << " length " << len;
-    }
-  }
-  // All-ones and all-zero inputs stress the table rows at both ends.
-  for (const std::byte fill : {std::byte{0x00}, std::byte{0xFF}}) {
-    const std::vector<std::byte> flat(77, fill);
-    EXPECT_EQ(crc32(flat), crc32Bitwise(flat.data(), flat.size()));
-  }
+  expectMatchesBitwise(clmul);
 }
 
 TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
@@ -315,6 +347,8 @@ TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
                                              crcOffset - kFrameSeqOffset);
     const std::uint32_t want = crc32Bitwise(covered.data(), covered.size());
     EXPECT_EQ(crc32(covered), want) << "frame " << seq;
+    EXPECT_EQ(crc32(covered), detail::crc32Portable(covered))
+        << "frame " << seq;
     std::uint32_t stored = 0;
     for (std::size_t i = kFrameCrcSize; i-- > 0;) {
       stored = (stored << 8) | static_cast<std::uint32_t>(bytes[crcOffset + i]);

@@ -52,6 +52,7 @@ import sys
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
+        "BM_Crc32Eng",
         "BM_FrameParserEng",
         "BM_LatchEng",
         "BM_MedianFilter",
