@@ -5,7 +5,7 @@
 // and scalar reference), downsample + histograms, RPN, CCA, the three
 // trackers and the NN-filter, all on a realistic ENG-like frame, plus
 // the node's EBF1 frame parser and its CRC32 on the same windows encoded
-// for the wire, and the pixel latch that reads them out.
+// for the wire, and the runner's pixel latch that reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -164,6 +164,27 @@ void BM_EbbiBuild(benchmark::State& state) {
   counters.report();
 }
 BENCHMARK(BM_EbbiBuild);
+
+void BM_EbbiBuildStream(benchmark::State& state) {
+  // The build on the node path: PipelineSink hands frame pipelines the
+  // raw windows, so the builder latches them itself.  Same windows and
+  // same latched count as BM_EbbiBuild, hence the same ops.
+  FrameBank& bank = FrameBank::instance();
+  EbbiBuilder builder(240, 180);
+  BinaryImage img(240, 180);
+  std::size_t i = 0;
+  for (std::size_t w = 0; w < bank.size(); ++w) {
+    builder.buildInto(bank.stream(w), img);  // warm-up: alloc-free after
+  }
+  StageCounters counters(state);
+  for (auto _ : state) {
+    builder.buildInto(bank.stream(i++), img);
+    benchmark::DoNotOptimize(img);
+    counters.frame(builder.lastOps());
+  }
+  counters.report();
+}
+BENCHMARK(BM_EbbiBuildStream);
 
 void BM_MedianFilter(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();
@@ -789,9 +810,10 @@ void BM_LatchReadout(benchmark::State& state) {
 BENCHMARK(BM_LatchReadout);
 
 void BM_LatchEng(benchmark::State& state) {
-  // The latch kernel as the node sink and the runner drive it: one
-  // PixelLatch reading the bank's ENG stream windows out into a reused
-  // packet.  No abstract ops model; time and allocs_frame only.
+  // The runner's latch: one PixelLatch reading the bank's ENG stream
+  // windows out into a reused packet, as runRecording's front end does
+  // once per frame for all its frame variants.  No abstract ops model;
+  // time and allocs_frame only.
   FrameBank& bank = FrameBank::instance();
   PixelLatch latch(240, 180);
   EventPacket latched;

@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/error.hpp"
 
@@ -23,7 +24,7 @@ TaskNode::~TaskNode() {
   // reference instead (cascades through abandoned chains).  Successors
   // with other still-pending abandoned dependencies are handled by
   // whichever dependency node dies last.
-  for (TaskNode* successor : successors) {
+  successors.forEach([](TaskNode* successor) {
     std::uint32_t drop = 1;  // the successor-list reference
     if (successor->unmet.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       ++drop;  // the scheduler reference, never dropped by execute()
@@ -31,7 +32,7 @@ TaskNode::~TaskNode() {
     if (successor->refs.fetch_sub(drop, std::memory_order_acq_rel) == drop) {
       delete successor;
     }
-  }
+  });
 }
 
 }  // namespace detail
@@ -177,11 +178,11 @@ void ThreadPool::execute(detail::TaskNode* node) {
     node->error = std::current_exception();
   }
   node->fn = nullptr;  // drop captures before waiters resume
-  std::vector<detail::TaskNode*> successors;
+  detail::SuccessorList successors;
   {
     const MutexLock lock(node->mutex);
     node->completed = true;
-    successors.swap(node->successors);
+    successors = std::exchange(node->successors, {});
   }
   // A waiter registers in parked_ and then reads `done`; this thread
   // stores `done` and then reads parked_.  Both pairs are seq_cst, so at
@@ -193,10 +194,10 @@ void ThreadPool::execute(detail::TaskNode* node) {
     const MutexLock lock(mutex_);
     wake_.notifyAll();
   }
-  for (detail::TaskNode* successor : successors) {
+  successors.forEach([this](detail::TaskNode* successor) {
     makeRunnable(successor, /*released=*/true);
     detail::TaskNode::release(successor);  // the successor-list reference
-  }
+  });
   detail::TaskNode::release(node);  // the scheduler reference
 }
 
@@ -246,7 +247,7 @@ TaskHandle ThreadPool::submit(std::function<void()> fn,
     const MutexLock lock(dep->mutex);
     if (!dep->completed) {
       detail::TaskNode::retain(node);
-      dep->successors.push_back(node);
+      dep->successors.push(node);
       node->unmet.fetch_add(1, std::memory_order_relaxed);
     }
   }

@@ -34,6 +34,8 @@
 // in-order loop and submitted tasks run inline inside wait().
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +53,43 @@ namespace ebbiot {
 class ThreadPool;
 
 namespace detail {
+
+struct TaskNode;
+
+/// A task's successors in registration order, the order in which
+/// execute() releases them.  The first kInline live in the node and the
+/// rest in a vector: runRecording's front-end task registers 8 per frame
+/// (one per pipeline plus the next front end) and each pipeline task 1,
+/// so its dependency edges allocate nothing.
+class SuccessorList {
+ public:
+  static constexpr std::size_t kInline = 8;
+
+  void push(TaskNode* node) {
+    if (size_ < kInline) {
+      inline_[size_] = node;
+    } else {
+      overflow_.push_back(node);
+    }
+    ++size_;
+  }
+
+  template <typename Fn>
+  void forEach(Fn&& fn) const {
+    const std::size_t inlineCount = std::min(size_, kInline);
+    for (std::size_t i = 0; i < inlineCount; ++i) {
+      fn(inline_[i]);
+    }
+    for (TaskNode* node : overflow_) {
+      fn(node);
+    }
+  }
+
+ private:
+  std::array<TaskNode*, kInline> inline_{};
+  std::size_t size_ = 0;
+  std::vector<TaskNode*> overflow_;
+};
 
 /// One node of the task graph.  Intrusively refcounted: the returned
 /// TaskHandle, the scheduler (from submit until the task finished and its
@@ -72,7 +111,7 @@ struct TaskNode {
   /// Mirrors `done` for successor registration.
   bool completed EBBIOT_GUARDED_BY(mutex) = false;
   /// Each entry holds a reference.
-  std::vector<TaskNode*> successors EBBIOT_GUARDED_BY(mutex);
+  SuccessorList successors EBBIOT_GUARDED_BY(mutex);
 
   // Runs only when the last reference dies, so `successors` has a single
   // owner and needs no lock — which the analysis cannot see.

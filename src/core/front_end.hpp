@@ -1,7 +1,8 @@
 // Shared frame-domain front end of the paper's Fig. 1 block diagram:
 //
-//   latched EventPacket -> EBBI build -> median filter -> region proposal
-//                          (Sec. II-A)   (Sec. II-A)      (RPN or CCA)
+//   EventPacket -> EBBI build -> median filter -> region proposal
+//                  (the latch,   (Sec. II-A)      (RPN or CCA)
+//                   Sec. II-A)
 //
 // Both frame-domain pipelines (EBBIOT and EBBI+KF) consume exactly this
 // chain; only their tracker back ends differ.  Extracting it into one
@@ -43,7 +44,7 @@ struct FrontEndOps {
   [[nodiscard]] OpCounts total() const { return ebbi + medianFilter + rpn; }
 };
 
-/// EBBI -> median -> RPN/CCA over one latch-readout window.
+/// EBBI -> median -> RPN/CCA over one frame window.
 class FrameFrontEnd {
  public:
   explicit FrameFrontEnd(const FrontEndConfig& config);
@@ -53,8 +54,10 @@ class FrameFrontEnd {
   FrameFrontEnd(const FrameFrontEnd&) = delete;
   FrameFrontEnd& operator=(const FrameFrontEnd&) = delete;
 
-  /// Run the full chain on one latched packet; returns this window's
-  /// region proposals (valid until the next process() call).
+  /// Run the full chain on one window, raw or latched (the EBBI build
+  /// latches it, so both give the same images, proposals and ops);
+  /// returns this window's region proposals (valid until the next
+  /// process() call).
   const RegionProposals& process(const EventPacket& packet);
 
   /// Intermediate products of the most recent window (for examples,

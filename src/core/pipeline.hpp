@@ -19,10 +19,12 @@
 // the runner iterates over, so adding a pipeline variant to an evaluation
 // is a one-line registration (see RunnerConfig::extraPipelines).
 //
-// The frame-domain pipelines consume latch-readout packets (one event per
-// pixel per window — the sensor-as-memory scheme of Fig. 2); the EBMS
-// pipeline consumes the full event stream, as in the paper's comparison.
-// Every stage's measured OpCounts are exposed for the Fig. 5 comparison.
+// The frame-domain pipelines see each window through the sensor-as-memory
+// scheme of Fig. 2 (one event per pixel per window): their EBBI build is
+// the pixel latch, so a raw window and its latchReadout() give the same
+// result.  The EBMS pipeline consumes the full event stream, as in the
+// paper's comparison.  Every stage's measured OpCounts are exposed for the
+// Fig. 5 comparison.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +46,11 @@ namespace ebbiot {
 
 /// What a pipeline expects in processWindow().
 enum class InputDomain {
-  kLatchedFrame,  ///< latchReadout() packets (one event per pixel per window)
-  kEventStream,   ///< the raw event stream of the window
+  /// Latch-invariant: the raw window and its latchReadout() (one event
+  /// per pixel per window) give identical tracks, images and ops, so a
+  /// caller may pass either.
+  kLatchedFrame,
+  kEventStream,  ///< the raw event stream of the window
 };
 
 /// Opaque snapshot of one pipeline's cross-window state (tracker slots,

@@ -45,6 +45,22 @@ void BinaryImage::markRowOccupied(int y) {
       std::uint64_t{1} << (static_cast<unsigned>(y) % 64);
 }
 
+void BinaryImage::syncRowOccupancy() {
+  const std::uint64_t* row = words_.data();
+  for (std::size_t block = 0; block < rowOcc_.size(); ++block) {
+    const int rows = std::min(64, height_ - static_cast<int>(block) * 64);
+    std::uint64_t occupied = 0;
+    for (int r = 0; r < rows; ++r, row += wordsPerRow_) {
+      std::uint64_t any = 0;
+      for (std::size_t k = 0; k < wordsPerRow_; ++k) {
+        any |= row[k];
+      }
+      occupied |= static_cast<std::uint64_t>(any != 0) << r;
+    }
+    rowOcc_[block] = occupied;
+  }
+}
+
 bool BinaryImage::rowMayHaveSetPixels(int y) const {
   checkBounds(0, y);
   return (rowOcc_[static_cast<std::size_t>(y) / 64] &

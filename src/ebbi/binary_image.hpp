@@ -18,7 +18,8 @@
 // set pixels (set(x, y, false) does not clear it).  Scans use it to skip
 // blank rows — on an EBBI only the active band of the scene survives.  A
 // writer that marks only the rows it fills with pixels keeps the bitset
-// exact, as MedianFilter's 3x3 kernel does for its output.
+// exact, as MedianFilter's 3x3 kernel does for its output; rewrite()
+// leaves it exact by deriving it from the words once the writer is done.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +64,19 @@ class BinaryImage {
 
   /// Set every pixel to 0 without reallocating.
   void clear();
+
+  /// Clear the image, let `write(words, wordsPerRow)` set pixels straight
+  /// into the row-major words (wordsPerRow() words per row, pixel x of
+  /// row y is bit x % 64 of words[y * wordsPerRow + x / 64]), then make
+  /// the row-occupancy bitset exact in one pass over the words.  The
+  /// writer must leave the padding bits (x >= width) zero.  For writers
+  /// of scattered pixels (EbbiBuilder): no occupancy update per pixel.
+  template <typename Write>
+  void rewrite(Write&& write) {
+    clear();
+    std::forward<Write>(write)(words_.data(), wordsPerRow_);
+    syncRowOccupancy();
+  }
 
   /// Number of 64-bit words per row (= ceil(width/64)).
   [[nodiscard]] std::size_t wordsPerRow() const { return wordsPerRow_; }
@@ -138,6 +152,8 @@ class BinaryImage {
   [[nodiscard]] std::uint64_t bitMask(int x) const;
   void checkBounds(int x, int y) const;
   void markRowOccupied(int y);
+  /// Occupancy bit y := row y holds a set pixel, for every row.
+  void syncRowOccupancy();
   /// Masked popcount of row y over columns [x0, x1).
   [[nodiscard]] std::size_t popcountRowRange(int y, int x0, int x1) const;
   /// True if any bit of row y in [x0, x1) is set (first-nonzero-word

@@ -23,12 +23,8 @@ void PixelLatch::readoutInto(const EventPacket& window, EventPacket& out) {
   std::size_t kept = 0;
   for (const Event& e : window) {
     EBBIOT_ASSERT(e.x < width_ && e.y < height_);
-    std::uint64_t& word =
-        fired[static_cast<std::size_t>(e.y) * wordsPerRow_ + (e.x >> 6)];
-    const std::uint64_t bit = std::uint64_t{1} << (e.x & 63);
     dst[kept] = e;
-    kept += (word & bit) == 0 ? 1 : 0;
-    word |= bit;
+    kept += latchPixel(fired, wordsPerRow_, e);
   }
   out.commitAppended(kept);
 }

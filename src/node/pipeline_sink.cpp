@@ -6,10 +6,9 @@ namespace ebbiot {
 
 PipelineSink::PipelineSink(std::unique_ptr<Pipeline> pipeline, int width,
                            int height, const PipelineSinkConfig& config)
-    : pipeline_(std::move(pipeline)),
-      config_(config),
-      latch_(width, height) {
+    : pipeline_(std::move(pipeline)), config_(config) {
   EBBIOT_ASSERT(pipeline_ != nullptr);
+  EBBIOT_ASSERT(width > 0 && height > 0);
   snapshot_ = pipeline_->makeSnapshot();
 }
 
@@ -59,11 +58,7 @@ bool PipelineSink::coastIdle() {
 }
 
 void PipelineSink::trackWindow(const EventPacket& window, std::uint32_t seq) {
-  const bool latched = pipeline_->inputDomain() == InputDomain::kLatchedFrame;
-  if (latched) {
-    latch_.readoutInto(window, latched_);
-  }
-  lastTracks_ = pipeline_->processWindow(latched ? latched_ : window);
+  lastTracks_ = pipeline_->processWindow(window);
   ++counters_.windowsTracked;
   expectedSeq_ = seq + 1;
   lastTEnd_ = window.tEnd();
@@ -77,9 +72,8 @@ void PipelineSink::trackWindow(const EventPacket& window, std::uint32_t seq) {
 }
 
 void PipelineSink::coastOneWindow() {
-  // An empty window is the same packet in both input domains, so coasting
-  // needs no latch step: the tracker sees zero measurements and applies
-  // its own miss/coast discipline.
+  // The tracker sees zero measurements and applies its own miss/coast
+  // discipline.
   coastWindow_.reset(lastTEnd_, lastTEnd_ + lastDuration_);
   lastTracks_ = pipeline_->processWindow(coastWindow_);
   lastTEnd_ += lastDuration_;

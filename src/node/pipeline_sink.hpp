@@ -2,8 +2,11 @@
 // closes the wire → session → pipeline → tracks chain.
 //
 // One PipelineSink owns one Pipeline instance and feeds it the windows a
-// SensorSession delivers, bridging the transport's failure modes so the
-// *tracker* (the paper's actual deliverable) survives them:
+// SensorSession delivers, as delivered: frame-domain pipelines are
+// latch-invariant (their EBBI build is the pixel latch; see
+// InputDomain::kLatchedFrame), so the sink keeps no latch state of its
+// own.  It bridges the transport's failure modes so the *tracker* (the
+// paper's actual deliverable) survives them:
 //
 //   * Coast-through-gap: a bridgeable sequence gap (<= maxCoastWindows
 //     windows lost) is filled with synthetic empty windows, so live
@@ -36,7 +39,6 @@
 #include "src/common/time.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/events/event_packet.hpp"
-#include "src/events/pixel_latch.hpp"
 #include "src/node/sensor_session.hpp"
 
 namespace ebbiot {
@@ -80,8 +82,8 @@ class PipelineSink final : public WindowSink {
                                            const Tracks& tracks)>;
 
   /// Takes ownership of the pipeline.  `width`/`height` is the sensor
-  /// geometry of the latch that reads windows out for frame-domain
-  /// pipelines.
+  /// geometry; it is only validated (both > 0), since the sink hands
+  /// every pipeline the delivered window.
   PipelineSink(std::unique_ptr<Pipeline> pipeline, int width, int height,
                const PipelineSinkConfig& config);
 
@@ -120,8 +122,6 @@ class PipelineSink final : public WindowSink {
   std::unique_ptr<PipelineSnapshot> snapshot_;
   bool snapshotValid_ = false;
 
-  PixelLatch latch_;         ///< readout for frame-domain pipelines
-  EventPacket latched_;      ///< reused latch-readout output
   EventPacket coastWindow_;  ///< reused empty window for coasting
 
   Tracks lastTracks_;

@@ -206,6 +206,27 @@ class ConverterCase(unittest.TestCase):
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("BM_Crc32Eng", result.stderr)
 
+    def test_stream_build_bench_gated_for_allocs_and_ops(self):
+        # The EBBI build over raw stream windows (the node path) is gated
+        # like the build over latched packets: allocation-free, and its
+        # ops pinned — in the committed baseline at BM_EbbiBuild's value,
+        # because both latch the same windows to the same pixels.
+        self.assertIn("BM_EbbiBuildStream", STEADY)
+        self.assertIn("BM_EbbiBuildStream", PINNED)
+        baseline = self.write_baseline()
+        self.bench("BM_EbbiBuildStream")["ops_frame"] *= 1.0 + 2 * TOLERANCE
+        result, _ = self.run_tool(f"--fail-on-ops-regression={baseline}")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_EbbiBuildStream", result.stderr)
+        self.bench("BM_EbbiBuildStream")["allocs_frame"] = 0.01
+        result, _ = self.run_tool("--fail-on-steady-allocs")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_EbbiBuildStream", result.stderr)
+        committed = json.loads(
+            (TOOLS / "BENCH_ops_baseline.json").read_text())["ops_per_frame"]
+        self.assertEqual(committed["BM_EbbiBuildStream"],
+                         committed["BM_EbbiBuild"])
+
     def test_steady_alloc_counter_missing_fails(self):
         del self.bench(STEADY[0])["allocs_frame"]
         result, _ = self.run_tool("--fail-on-steady-allocs")

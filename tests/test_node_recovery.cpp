@@ -53,7 +53,10 @@ std::unique_ptr<Pipeline> makeSmallEbbiot() {
   return std::make_unique<EbbiotPipeline>(smallConfig());
 }
 
-/// Bare-pipeline reference step: latch + process, as the sink does.
+/// Bare-pipeline reference step: frame-domain pipelines get the latch
+/// readout, the event domain the raw window.  The sink hands every
+/// pipeline the raw window, so matching this pins the frame pipelines'
+/// latch invariance on the node path.
 Tracks referenceStep(Pipeline& pipeline, const EventPacket& window) {
   if (pipeline.inputDomain() == InputDomain::kLatchedFrame) {
     return pipeline.processWindow(latchReadout(window, kWidth, kHeight));
@@ -70,7 +73,17 @@ Tracks referenceCoast(Pipeline& pipeline, TimeUs tStart) {
 TEST(PipelineSinkTest, ContiguousStreamMatchesBarePipeline) {
   const std::vector<EventPacket> windows = makeWindows(24);
 
-  // Frame domain (exercises the in-place latch) and event domain.
+  // Frame domain (the sink passes raw windows; the twin gets their latch
+  // readout) and event domain.  Ops are compared too: a window in which
+  // a pixel fires twice tells a build that meters every raw event from
+  // one that meters latched pixels.
+  std::size_t windowsWithRepeats = 0;
+  for (const EventPacket& w : windows) {
+    if (latchReadout(w, kWidth, kHeight).size() < w.size()) {
+      ++windowsWithRepeats;
+    }
+  }
+  EXPECT_GT(windowsWithRepeats, 0U);
   {
     PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, {});
     EbbiotPipeline bare(smallConfig());
@@ -79,6 +92,7 @@ TEST(PipelineSinkTest, ContiguousStreamMatchesBarePipeline) {
                     windows[i].tEnd());
       const Tracks expected = referenceStep(bare, windows[i]);
       EXPECT_TRUE(sink.lastTracks() == expected) << "window " << i;
+      EXPECT_EQ(sink.pipeline().lastOps(), bare.lastOps()) << "window " << i;
     }
     EXPECT_EQ(sink.counters().windowsTracked, windows.size());
     EXPECT_EQ(sink.counters().windowsCoasted, 0U);
@@ -94,6 +108,7 @@ TEST(PipelineSinkTest, ContiguousStreamMatchesBarePipeline) {
                     windows[i].tEnd());
       const Tracks expected = referenceStep(bare, windows[i]);
       EXPECT_TRUE(sink.lastTracks() == expected) << "window " << i;
+      EXPECT_EQ(sink.pipeline().lastOps(), bare.lastOps()) << "window " << i;
     }
   }
 }

@@ -248,6 +248,28 @@ TEST(TaskGraphTest, LongChainCompletesInOrder) {
   }
 }
 
+TEST(TaskGraphTest, WideFanOutReleasesSuccessorsInRegistrationOrder) {
+  // More successors than a node keeps inline: released tasks join the
+  // queue's front one by one, so with no workers they run in reverse
+  // release order — the reverse of registration if the inline and the
+  // overflow successors are released as one list, in order.
+  ThreadPool pool(1);
+  constexpr int kSuccessors = 20;
+  std::vector<int> order;
+  const TaskHandle root = pool.submit([] {});
+  std::vector<TaskHandle> successors;
+  for (int i = 0; i < kSuccessors; ++i) {
+    successors.push_back(
+        pool.submit([&order, i] { order.push_back(i); }, {root}));
+  }
+  for (const TaskHandle& successor : successors) {
+    pool.wait(successor);
+  }
+  std::vector<int> expected(kSuccessors);
+  std::iota(expected.rbegin(), expected.rend(), 0);
+  EXPECT_EQ(order, expected);
+}
+
 // --- Shutdown / teardown edges -----------------------------------------
 //
 // Contract under test (see ~ThreadPool): destroying a pool with
@@ -291,6 +313,25 @@ TEST(TaskGraphTest, DestructorAbandonsLongDependencyChain) {
   }
   EXPECT_EQ(ran.load(), 0);
   EXPECT_FALSE(tail.done());
+}
+
+TEST(TaskGraphTest, DestructorAbandonsWideFanOut) {
+  // A queued task with more successors than it keeps inline: its
+  // destructor must drop every successor, overflow included (ASan
+  // checks the frees).
+  std::atomic<int> ran{0};
+  std::vector<TaskHandle> successors;
+  {
+    ThreadPool pool(1);
+    const TaskHandle root = pool.submit([&] { ++ran; });
+    for (int i = 0; i < 20; ++i) {
+      successors.push_back(pool.submit([&] { ++ran; }, {root}));
+    }
+  }
+  EXPECT_EQ(ran.load(), 0);
+  for (const TaskHandle& successor : successors) {
+    EXPECT_FALSE(successor.done());
+  }
 }
 
 TEST(TaskGraphTest, HandlesOutliveThePool) {

@@ -52,6 +52,7 @@ import sys
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
+        "BM_EbbiBuildStream",
         "BM_Crc32Eng",
         "BM_FrameParserEng",
         "BM_LatchEng",
@@ -76,6 +77,7 @@ STEADY_STATE_BENCHES = frozenset(
 # gated by --fail-on-ops-regression.
 OPS_PINNED_BENCHES = (
     "BM_EbbiBuild",
+    "BM_EbbiBuildStream",
     "BM_MedianFilter",
     "BM_MedianFilterReference",
     "BM_DownsampleAndHistogram",
