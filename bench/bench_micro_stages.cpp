@@ -4,8 +4,9 @@
 // it in time on the host CPU: EBBI build, median filter (word-parallel
 // and scalar reference), downsample + histograms, RPN, CCA, the three
 // trackers and the NN-filter, all on a realistic ENG-like frame, plus
-// the node's EBF1 frame parser and its CRC32 on the same windows encoded
-// for the wire, and the runner's pixel latch that reads them out.
+// the node's EBF1 frame parser, its CRC32 and its record decode on the
+// same windows encoded for the wire, and the runner's pixel latch that
+// reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -365,6 +366,51 @@ void BM_Crc32Eng(benchmark::State& state) {
   state.SetBytesProcessed(bytesChecked);
 }
 BENCHMARK(BM_Crc32Eng);
+
+void BM_DecodeEventsEng(benchmark::State& state) {
+  // The decode inside FrameParserEng, alone: decodeEventsInto a reused
+  // packet, as the session decodes into its queue slot, over the bank's
+  // ENG windows encoded as EBF1 frames and parsed once up front.  No
+  // abstract ops model; time, events/s and allocs_frame only.
+  FrameBank& bank = FrameBank::instance();
+  std::vector<std::vector<std::byte>> bytes(bank.size());
+  std::vector<DecodedFrame> frames(bank.size());
+  FrameParser parser{NodeConfig{}};
+  for (std::size_t w = 0; w < bank.size(); ++w) {
+    encodeFrame(bytes[w], static_cast<std::uint32_t>(w), 0, bank.stream(w));
+    parser.offer(bytes[w]);
+    if (parser.next(frames[w]) != FrameParser::Status::kFrame) {
+      state.SkipWithError("encoded ENG frame rejected");
+      return;
+    }
+    // View the records in the kept frame, not the parser's buffer.
+    frames[w].records = {bytes[w].data() + kFrameHeaderSize,
+                         frames[w].records.size()};
+  }
+  EventPacket window;
+  const auto decode = [&](const DecodedFrame& frame) {
+    const auto tStart = static_cast<TimeUs>(frame.windowStart32);
+    window.reset(tStart, tStart + frame.durationUs);
+    decodeEventsInto(frame, tStart, window);
+  };
+  for (const DecodedFrame& frame : frames) {  // warm-up
+    decode(frame);
+  }
+  StageCounters counters(state);
+  std::size_t i = 0;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    const DecodedFrame& frame = frames[i++ % frames.size()];
+    decode(frame);
+    benchmark::DoNotOptimize(window.events().data());
+    benchmark::ClobberMemory();
+    events += frame.eventCount;
+    counters.frame();
+  }
+  counters.report();
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_DecodeEventsEng);
 
 void BM_OverlapTracker(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();

@@ -28,36 +28,51 @@ class EventPacket {
   /// verified).  Events need not be time-sorted.
   EventPacket(TimeUs tStart, TimeUs tEnd, std::vector<Event> events);
 
+  /// Copies carry the live events only, not the storage behind them.
+  EventPacket(const EventPacket& other);
+  EventPacket& operator=(const EventPacket& other);
+  EventPacket(EventPacket&& other) noexcept;
+  EventPacket& operator=(EventPacket&& other) noexcept;
+
   [[nodiscard]] TimeUs tStart() const { return tStart_; }
   [[nodiscard]] TimeUs tEnd() const { return tEnd_; }
   [[nodiscard]] TimeUs duration() const { return tEnd_ - tStart_; }
 
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] std::span<const Event> events() const { return events_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::span<const Event> events() const {
+    return {events_.data(), size_};
+  }
 
   [[nodiscard]] auto begin() const { return events_.begin(); }
-  [[nodiscard]] auto end() const { return events_.end(); }
+  [[nodiscard]] auto end() const {
+    return events_.begin() + static_cast<std::ptrdiff_t>(size_);
+  }
   [[nodiscard]] const Event& operator[](std::size_t i) const;
 
   /// Append one event; throws LogicError if outside the packet window.
   void push(const Event& e);
 
-  /// Bulk-append window for selector stages: extends the packet by
-  /// `count` value-initialised events and returns the span over them.
-  /// The caller overwrites a prefix (e.g. writing each surviving event
+  /// Bulk-append window for selector and decode stages: extends the
+  /// packet by `count` events and returns the span over them.  Their
+  /// contents are unspecified (storage an earlier, larger window used is
+  /// handed back as it was left), so the caller writes every event it
+  /// keeps: it overwrites a prefix (e.g. writing each surviving event
   /// unconditionally and bumping its cursor branch-free) and then calls
   /// commitAppended() to drop the unused tail.  No other mutation may
   /// run between the two calls.
   std::span<Event> appendBuffer(std::size_t count);
 
-  /// Keep only the first `kept` events of the last appendBuffer() span;
-  /// the per-event window check push() does runs here instead.
+  /// Keep only the first `kept` events of the last appendBuffer() span.
+  /// The window check push() does runs here instead, over all `kept`
+  /// events in one branch-free pass; if any lies outside the window, the
+  /// whole span is dropped and LogicError is thrown.
   void commitAppended(std::size_t kept);
 
   /// Drop all events and retarget the window to [tStart, tEnd), keeping
-  /// the storage capacity — lets streaming stages reuse one packet per
-  /// window without per-call allocation (see NnFilter::filterInto).
+  /// the storage — lets streaming stages reuse one packet per window
+  /// without per-call allocation or re-initialisation (see
+  /// NnFilter::filterInto).
   void reset(TimeUs tStart, TimeUs tEnd);
 
   /// Append all events of another packet (windows must be compatible:
@@ -83,9 +98,16 @@ class EventPacket {
   std::vector<Event> takeEvents() &&;
 
  private:
+  /// Extends the packet by `count` events and returns the first.  Only
+  /// storage past every earlier size is value-initialised.
+  Event* grow(std::size_t count);
+
   TimeUs tStart_ = 0;
   TimeUs tEnd_ = 0;
+  /// The packet's events are events_[0, size_).  The rest is storage an
+  /// earlier, larger window initialised, kept for grow() to refill.
   std::vector<Event> events_;
+  std::size_t size_ = 0;
   std::size_t appendBase_ = 0;  ///< start of the open appendBuffer() span
 };
 

@@ -77,13 +77,14 @@ inline std::uint64_t majority3Row(const std::uint64_t* rowN,
 /// min(n-1, i+r) - max(0, i-r) + 1.  The 2-D clamped patch-pixel total
 /// factorises into the product of the two per-axis sums, which gives the
 /// closed-form memRead count matching the scalar reference's metering.
+/// Each width is 2r+1 less max(0, r-i) clipped at the start and the
+/// mirror-image amount at the end; with m = min(n, r) positions clipped
+/// at each end, each end loses m*r - m(m-1)/2 in total.
 inline std::uint64_t clampedPatchSum(int n, int r) {
-  std::uint64_t sum = 0;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<std::uint64_t>(std::min(n - 1, i + r) -
-                                      std::max(0, i - r) + 1);
-  }
-  return sum;
+  const auto nn = static_cast<std::uint64_t>(n);
+  const auto rr = static_cast<std::uint64_t>(r);
+  const std::uint64_t m = std::min(nn, rr);
+  return nn * (2 * rr + 1) - 2 * m * rr + m * (m - 1);
 }
 
 /// Eq. (1)'s abstract per-frame cost of a p x p binary median over an

@@ -9,12 +9,6 @@
 namespace ebbiot {
 namespace {
 
-// Field offsets inside one kFrameEventSize-byte event record.
-constexpr std::size_t kEventXOffset = 0;
-constexpr std::size_t kEventYOffset = 2;
-constexpr std::size_t kEventPolarityOffset = 4;
-constexpr std::size_t kEventDtOffset = 5;
-
 template <typename T>
 void putLe(std::vector<std::byte>& out, T value) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -100,20 +94,67 @@ void setFrameSeq(std::span<std::byte> frame, std::uint32_t value) {
   storeLe(frame.data() + kFrameSeqOffset, value);
 }
 
+namespace detail {
+namespace {
+
+bool checkRecordsPortable(std::span<const std::byte> records,
+                          const RecordLimits& limits) {
+  // The four checks of every record fold into one flag instead of a
+  // branch.
+  bool impossible = false;
+  for (const std::byte* rec = records.data();
+       rec != records.data() + records.size(); rec += kFrameEventSize) {
+    const auto x = getLe<std::uint16_t>(rec + kRecordXOffset);
+    const auto y = getLe<std::uint16_t>(rec + kRecordYOffset);
+    const auto rawP = getLe<std::int8_t>(rec + kRecordPolarityOffset);
+    const auto dt = getLe<std::uint32_t>(rec + kRecordDtOffset);
+    impossible |= ((rawP != 1) & (rawP != -1)) | (x >= limits.width) |
+                  (y >= limits.height) | (dt >= limits.durationUs);
+  }
+  return impossible;
+}
+
+void decodeRecordsPortable(std::span<const std::byte> records, TimeUs tStart,
+                           std::span<Event> out) {
+  EBBIOT_ASSERT(records.size() == out.size() * kFrameEventSize);
+  const std::byte* rec = records.data();
+  for (Event& e : out) {
+    e.x = getLe<std::uint16_t>(rec + kRecordXOffset);
+    e.y = getLe<std::uint16_t>(rec + kRecordYOffset);
+    e.p = static_cast<Polarity>(
+        getLe<std::int8_t>(rec + kRecordPolarityOffset));
+    e.t = tStart +
+          static_cast<TimeUs>(getLe<std::uint32_t>(rec + kRecordDtOffset));
+    rec += kFrameEventSize;
+  }
+}
+
+}  // namespace
+
+const RecordKernels& portableRecordKernels() {
+  static constexpr RecordKernels kPortable{&checkRecordsPortable,
+                                           &decodeRecordsPortable};
+  return kPortable;
+}
+
+const RecordKernels& recordKernels() {
+  static const RecordKernels& kernels = []() -> const RecordKernels& {
+    const RecordKernels* vbmi = vbmiRecordKernels();
+    return vbmi != nullptr ? *vbmi : portableRecordKernels();
+  }();
+  return kernels;
+}
+
+}  // namespace detail
+
 void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
                       EventPacket& out) {
   EBBIOT_ASSERT(frame.records.size() ==
                 std::size_t{frame.eventCount} * kFrameEventSize);
-  const std::byte* rec = frame.records.data();
-  for (Event& e : out.appendBuffer(frame.eventCount)) {
-    e.x = getLe<std::uint16_t>(rec + kEventXOffset);
-    e.y = getLe<std::uint16_t>(rec + kEventYOffset);
-    e.p = static_cast<Polarity>(
-        getLe<std::int8_t>(rec + kEventPolarityOffset));
-    e.t = tStart +
-          static_cast<TimeUs>(getLe<std::uint32_t>(rec + kEventDtOffset));
-    rec += kFrameEventSize;
-  }
+  EBBIOT_ASSERT(tStart >= out.tStart() &&
+                tStart + TimeUs{frame.durationUs} <= out.tEnd());
+  detail::recordKernels().decode(frame.records, tStart,
+                                 out.appendBuffer(frame.eventCount));
   out.commitAppended(frame.eventCount);
 }
 
@@ -153,8 +194,8 @@ void TimestampUnwrapper::reset() {
 }
 
 FrameParser::FrameParser(const NodeConfig& config)
-    : width_(config.width),
-      height_(config.height),
+    : width_(static_cast<std::uint16_t>(config.width)),
+      height_(static_cast<std::uint16_t>(config.height)),
       maxEvents_(config.maxEventsPerFrame),
       maxBuffer_(config.effectiveBufferBytes()) {
   config.validate();
@@ -233,21 +274,10 @@ FrameParser::Probe FrameParser::probe(DecodedFrame& out) {
     return Probe::kCorrupt;
   }
   // CRC-valid but semantically impossible events (a buggy or hostile
-  // sender) condemn the frame.  The records are checked in place, and the
-  // four checks of every record fold into one flag instead of a branch.
-  const std::byte* records = p + kFrameHeaderSize;
-  const std::size_t recordBytes = std::size_t{eventCount} * kFrameEventSize;
-  bool impossible = false;
-  for (const std::byte* rec = records; rec != records + recordBytes;
-       rec += kFrameEventSize) {
-    const auto x = getLe<std::uint16_t>(rec + kEventXOffset);
-    const auto y = getLe<std::uint16_t>(rec + kEventYOffset);
-    const auto rawP = getLe<std::int8_t>(rec + kEventPolarityOffset);
-    const auto dt = getLe<std::uint32_t>(rec + kEventDtOffset);
-    impossible |= ((rawP != 1) & (rawP != -1)) | (x >= width_) |
-                  (y >= height_) | (dt >= duration);
-  }
-  if (impossible) {
+  // sender) condemn the frame.  The records are checked in place.
+  const std::span<const std::byte> records(
+      p + kFrameHeaderSize, std::size_t{eventCount} * kFrameEventSize);
+  if (detail::recordKernels().check(records, {width_, height_, duration})) {
     return Probe::kCorrupt;
   }
   out.seq = getLe<std::uint32_t>(p + kFrameSeqOffset);
@@ -255,7 +285,7 @@ FrameParser::Probe FrameParser::probe(DecodedFrame& out) {
   out.windowStart32 = getLe<std::uint32_t>(p + kFrameWindowStartOffset);
   out.durationUs = duration;
   out.eventCount = eventCount;
-  out.records = {records, recordBytes};
+  out.records = records;
   pos_ += total;
   return Probe::kFrame;
 }

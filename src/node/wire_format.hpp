@@ -52,6 +52,11 @@ inline constexpr std::size_t kFrameDurationOffset = 20;
 inline constexpr std::size_t kFrameHeaderSize = 24;
 inline constexpr std::size_t kFrameEventSize = 9;
 inline constexpr std::size_t kFrameCrcSize = 4;
+// Field offsets inside one kFrameEventSize-byte event record.
+inline constexpr std::size_t kRecordXOffset = 0;
+inline constexpr std::size_t kRecordYOffset = 2;
+inline constexpr std::size_t kRecordPolarityOffset = 4;
+inline constexpr std::size_t kRecordDtOffset = 5;
 
 /// Serialized size of a frame carrying `eventCount` events.
 [[nodiscard]] constexpr std::size_t frameSizeBytes(std::size_t eventCount) {
@@ -71,6 +76,33 @@ using Crc32Kernel = std::uint32_t (*)(std::span<const std::byte>);
 [[nodiscard]] std::uint32_t crc32Portable(std::span<const std::byte> bytes);
 /// The PCLMULQDQ kernel, or nullptr where the CPU cannot run it.
 [[nodiscard]] Crc32Kernel crc32ClmulKernel();
+
+/// What a CRC-valid record may hold: x < width, y < height, polarity +1
+/// or -1, and dt < durationUs.
+struct RecordLimits {
+  std::uint16_t width = 0;
+  std::uint16_t height = 0;
+  std::uint32_t durationUs = 0;
+};
+
+/// The kernels behind FrameParser's record checks and decodeEventsInto(),
+/// exposed so tests can pin each one against the portable pair on any
+/// host.  `records` holds whole kFrameEventSize-byte records, and no
+/// kernel reads a byte outside it.  `check` is true when any record breaks
+/// `limits`.  `decode` writes record i to out[i] at tStart + dt, whatever
+/// the records hold; `out` has one event per record (asserted).
+struct RecordKernels {
+  bool (*check)(std::span<const std::byte> records, const RecordLimits& limits);
+  void (*decode)(std::span<const std::byte> records, TimeUs tStart,
+                 std::span<Event> out);
+};
+/// The scalar loops: the reference for every other kernel.
+[[nodiscard]] const RecordKernels& portableRecordKernels();
+/// The AVX-512 VBMI kernels, or nullptr where the CPU cannot run them.
+[[nodiscard]] const RecordKernels* vbmiRecordKernels();
+/// The kernels FrameParser and decodeEventsInto() run: VBMI where the CPU
+/// has it (checked once per process), portable elsewhere.
+[[nodiscard]] const RecordKernels& recordKernels();
 }  // namespace detail
 
 /// Append one encoded frame for `window` to `out`.  The window duration
@@ -110,7 +142,8 @@ struct DecodedFrame {
 
 /// Append `frame`'s events to `out` in wire order, each at absolute time
 /// tStart + dt.  `out`'s window must hold [tStart, tStart + durationUs)
-/// (checked per event), and `frame.records` must still be valid.
+/// (checked, and so is every event), and `frame.records` must still be
+/// valid.  Runs the record kernel recordKernels() chose.
 void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
                       EventPacket& out);
 
@@ -190,8 +223,8 @@ class FrameParser {
   void compact();
   void skipForward();  ///< advance pos_ to the next magic candidate
 
-  int width_;
-  int height_;
+  std::uint16_t width_;
+  std::uint16_t height_;
   std::uint32_t maxEvents_;
   std::size_t maxBuffer_;
   std::vector<std::byte> buf_;  ///< reassembly buffer; reserved up front

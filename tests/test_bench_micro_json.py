@@ -206,6 +206,23 @@ class ConverterCase(unittest.TestCase):
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("BM_Crc32Eng", result.stderr)
 
+    def test_decode_bench_alloc_gated_without_ops(self):
+        # The record decode alone has no closed-form ops either: gated
+        # for allocations, absent from the ops baseline.
+        self.assertIn("BM_DecodeEventsEng", STEADY)
+        self.assertNotIn("BM_DecodeEventsEng", PINNED)
+        del self.bench("BM_DecodeEventsEng")["ops_frame"]
+        baseline = self.write_baseline()
+        self.assertNotIn("BM_DecodeEventsEng",
+                         json.loads(baseline.read_text())["ops_per_frame"])
+        result, _ = self.run_tool(
+            "--fail-on-steady-allocs", f"--fail-on-ops-regression={baseline}")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.bench("BM_DecodeEventsEng")["allocs_frame"] = 0.02
+        result, _ = self.run_tool("--fail-on-steady-allocs")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_DecodeEventsEng", result.stderr)
+
     def test_stream_build_bench_gated_for_allocs_and_ops(self):
         # The EBBI build over raw stream windows (the node path) is gated
         # like the build over latched packets: allocation-free, and its

@@ -11,6 +11,7 @@
 #include "src/common/rng.hpp"
 #include "src/filters/median_filter.hpp"
 #include "src/filters/median_filter_reference.hpp"
+#include "src/filters/median_majority.hpp"
 
 namespace ebbiot {
 namespace {
@@ -37,6 +38,23 @@ void expectIdentical(const BinaryImage& img, int patch) {
                        << " patch " << patch;
   EXPECT_EQ(fast.lastOps(), reference.lastOps())
       << "closed-form ops diverge from metered reference";
+}
+
+TEST(MedianFilterWordTest, ClampedPatchSumClosedFormMatchesLoop) {
+  // The O(1) per-axis sum behind closedFormOps against the loop over
+  // every position it replaces, through frames narrower than the patch.
+  for (const int p : {1, 3, 5, 7, 9}) {
+    const int r = p / 2;
+    for (int n = 1; n <= 700; ++n) {
+      std::uint64_t loop = 0;
+      for (int i = 0; i < n; ++i) {
+        loop += static_cast<std::uint64_t>(std::min(n - 1, i + r) -
+                                           std::max(0, i - r) + 1);
+      }
+      ASSERT_EQ(median_detail::clampedPatchSum(n, r), loop)
+          << "n " << n << " p " << p;
+    }
+  }
 }
 
 TEST(MedianFilterWordTest, MatchesReferenceAcrossWordBoundarySizes) {

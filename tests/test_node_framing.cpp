@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -366,6 +368,321 @@ TEST(WireFormatTest, Crc32MatchesBitwiseReferenceOnEncodedEngFrames) {
     checkedBytes += bytes.size();
   }
   EXPECT_GT(checkedBytes, 4U * 1000U);  // frames long enough to matter
+}
+
+/// One record's fields; the polarity is the raw wire byte.
+struct RecordFields {
+  std::uint16_t x = 0;
+  std::uint16_t y = 0;
+  std::int8_t p = 1;
+  std::uint32_t dt = 0;
+};
+
+void writeRecord(std::byte* rec, const RecordFields& f) {
+  const auto put = [rec](std::size_t offset, std::uint64_t value,
+                         std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      rec[offset + i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  put(kRecordXOffset, f.x, 2);
+  put(kRecordYOffset, f.y, 2);
+  put(kRecordPolarityOffset, static_cast<std::uint8_t>(f.p), 1);
+  put(kRecordDtOffset, f.dt, 4);
+}
+
+std::vector<std::byte> writeRecords(const std::vector<RecordFields>& fields) {
+  std::vector<std::byte> records(fields.size() * kFrameEventSize);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    writeRecord(records.data() + i * kFrameEventSize, fields[i]);
+  }
+  return records;
+}
+
+/// n valid records under `limits`, spread over the range.
+std::vector<RecordFields> validFields(std::size_t n,
+                                      const detail::RecordLimits& limits) {
+  std::vector<RecordFields> fields;
+  for (std::size_t i = 0; i < n; ++i) {
+    fields.push_back(RecordFields{
+        static_cast<std::uint16_t>((7 * i) % limits.width),
+        static_cast<std::uint16_t>((5 * i) % limits.height),
+        static_cast<std::int8_t>(i % 2 == 0 ? 1 : -1),
+        static_cast<std::uint32_t>((1009 * i) % limits.durationUs)});
+  }
+  return fields;
+}
+
+/// One field of one record set to a value at or just inside a limit.
+struct BoundaryEdit {
+  std::string what;
+  void (*apply)(RecordFields&, const detail::RecordLimits&);
+  bool accepted;
+};
+
+std::vector<BoundaryEdit> boundaryEdits() {
+  using F = RecordFields;
+  using L = detail::RecordLimits;
+  std::vector<BoundaryEdit> edits = {
+      {"x = width - 1", [](F& f, const L& l) { f.x = l.width - 1; }, true},
+      {"x = width", [](F& f, const L& l) { f.x = l.width; }, false},
+      {"y = height - 1", [](F& f, const L& l) { f.y = l.height - 1; }, true},
+      {"y = height", [](F& f, const L& l) { f.y = l.height; }, false},
+      {"dt = duration - 1",
+       [](F& f, const L& l) { f.dt = l.durationUs - 1; }, true},
+      {"dt = duration", [](F& f, const L& l) { f.dt = l.durationUs; }, false},
+      {"p = -1", [](F& f, const L&) { f.p = -1; }, true},
+      {"p = 1", [](F& f, const L&) { f.p = 1; }, true},
+      {"p = 0", [](F& f, const L&) { f.p = 0; }, false},
+      {"p = 2", [](F& f, const L&) { f.p = 2; }, false},
+      {"p = -2", [](F& f, const L&) { f.p = -2; }, false},
+      {"p = 127", [](F& f, const L&) { f.p = 127; }, false},
+      {"p = -128", [](F& f, const L&) { f.p = -128; }, false},
+  };
+  return edits;
+}
+
+Event expectedEvent(const RecordFields& f, TimeUs tStart) {
+  return Event{f.x, f.y, static_cast<Polarity>(f.p),
+               tStart + static_cast<TimeUs>(f.dt)};
+}
+
+/// Every boundary edit at every position of frames of 1-13 records, so
+/// each of the four lanes of a 4-record step and every tail length 0-3
+/// meets each edit.  Limits at the bottom and top of their ranges catch
+/// signed compares and off-by-one bounds; accepted records must also
+/// decode to their fields.
+void expectBoundaryVerdicts(const detail::RecordKernels& kernels) {
+  const TimeUs tStart = (TimeUs{5} << 32) + 77;
+  const detail::RecordLimits limitSets[] = {
+      {64, 48, 10'000}, {1, 1, 1}, {65535, 65535, 0xFFFF'FFFFU}};
+  for (const detail::RecordLimits& limits : limitSets) {
+    for (std::size_t n = 0; n <= 13; ++n) {
+      const std::vector<std::byte> clean = writeRecords(validFields(n, limits));
+      ASSERT_FALSE(kernels.check(clean, limits)) << n << " valid records";
+    }
+    for (const BoundaryEdit& edit : boundaryEdits()) {
+      for (std::size_t n = 1; n <= 13; ++n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          std::vector<RecordFields> fields = validFields(n, limits);
+          edit.apply(fields[i], limits);
+          const std::vector<std::byte> records = writeRecords(fields);
+          ASSERT_EQ(kernels.check(records, limits), !edit.accepted)
+              << edit.what << " in record " << i << " of " << n
+              << ", width " << limits.width;
+          if (!edit.accepted) {
+            continue;
+          }
+          std::vector<Event> out(n);
+          kernels.decode(records, tStart, out);
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(out[k], expectedEvent(fields[k], tStart))
+                << edit.what << " in record " << i << " of " << n
+                << ", event " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RecordKernelsTest, PortableKernelsAtEveryBoundaryLaneAndTail) {
+  expectBoundaryVerdicts(detail::portableRecordKernels());
+}
+
+TEST(RecordKernelsTest, VbmiKernelsAtEveryBoundaryLaneAndTail) {
+  const detail::RecordKernels* vbmi = detail::vbmiRecordKernels();
+  if (vbmi == nullptr) {
+    GTEST_SKIP() << "CPU lacks AVX-512 VBMI";
+  }
+  expectBoundaryVerdicts(*vbmi);
+}
+
+TEST(RecordKernelsTest, VbmiKernelsMatchPortableOnRandomRecords) {
+  // Mostly valid records with dt up to duration - 1, some with a byte
+  // overwritten at random, at every start misalignment: the VBMI kernels
+  // must give the portable verdict and write the same Events, starting
+  // beyond 2^32 us, and nothing past the last one.
+  const detail::RecordKernels* vbmi = detail::vbmiRecordKernels();
+  if (vbmi == nullptr) {
+    GTEST_SKIP() << "CPU lacks AVX-512 VBMI";
+  }
+  const detail::RecordKernels& portable = detail::portableRecordKernels();
+  const detail::RecordLimits limits{240, 180, 66'000};
+  const TimeUs tStart = (TimeUs{9} << 32) + 4'321;
+  const Event sentinel{1, 2, Polarity::kOff, -5};
+  Rng rng(21);
+  std::size_t verdicts[2] = {0, 0};
+  for (int round = 0; round < 3000; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniformInt(0, 40));
+    const auto offset = static_cast<std::size_t>(rng.uniformInt(0, 15));
+    std::vector<RecordFields> fields(n);
+    for (RecordFields& f : fields) {
+      f.x = static_cast<std::uint16_t>(rng.uniformInt(0, limits.width - 1));
+      f.y = static_cast<std::uint16_t>(rng.uniformInt(0, limits.height - 1));
+      f.p = rng.chance(0.5) ? 1 : -1;
+      f.dt = static_cast<std::uint32_t>(
+          rng.chance(0.2) ? limits.durationUs - 1
+                          : rng.uniformInt(0, limits.durationUs - 1));
+    }
+    const std::vector<std::byte> written = writeRecords(fields);
+    std::vector<std::byte> buf(offset + written.size());
+    std::copy(written.begin(), written.end(), buf.begin() + offset);
+    if (n > 0 && rng.chance(0.5)) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(written.size()) - 1));
+      buf[offset + at] = static_cast<std::byte>(rng.uniformInt(0, 255));
+    }
+    const std::span<const std::byte> records(buf.data() + offset,
+                                             written.size());
+    const bool impossible = portable.check(records, limits);
+    ASSERT_EQ(vbmi->check(records, limits), impossible)
+        << "round " << round << ", " << n << " records";
+    ++verdicts[impossible ? 1 : 0];
+    std::vector<Event> want(n + 1, sentinel);
+    std::vector<Event> got(n + 1, sentinel);
+    portable.decode(records, tStart, {want.data(), n});
+    vbmi->decode(records, tStart, {got.data(), n});
+    ASSERT_EQ(got, want) << "round " << round << ", " << n << " records";
+  }
+  // Both verdicts occur often enough to matter.
+  EXPECT_GT(verdicts[0], 1000U);
+  EXPECT_GT(verdicts[1], 500U);
+}
+
+TEST(WireFormatTest, RecordBoundariesThroughTheParserAtEveryLaneAndTail) {
+  // The dispatched checks, end to end: each boundary edit at every
+  // position of 1-13-event frames with a refreshed CRC.  An accepted
+  // edit decodes to its fields; a rejected one is counted as corrupt and
+  // the valid frame behind it parses.
+  const NodeConfig config = testConfig();
+  const detail::RecordLimits limits{64, 48, 10'000};
+  FrameParser parser(config);
+  DecodedFrame frame;
+  std::uint32_t seq = 0;
+  std::uint64_t corrupted = 0;
+  for (const BoundaryEdit& edit : boundaryEdits()) {
+    for (std::size_t n = 1; n <= 13; ++n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const TimeUs tStart = TimeUs{seq} * limits.durationUs;
+        std::vector<RecordFields> fields = validFields(n, limits);
+        edit.apply(fields[i], limits);
+        std::vector<std::byte> f0 =
+            encodeOne(seq, 7, EventPacket(tStart, tStart + limits.durationUs));
+        const std::vector<std::byte> records = writeRecords(fields);
+        f0.insert(f0.begin() + kFrameHeaderSize, records.begin(),
+                  records.end());
+        f0[kFrameEventCountOffset] = static_cast<std::byte>(n);
+        refreshFrameCrc(f0);
+        const EventPacket good = makeWindow(seq + 1);
+        parser.offer(f0);
+        parser.offer(encodeOne(seq + 1, 7, good));
+        const std::string where = edit.what + " in record " +
+                                  std::to_string(i) + " of " +
+                                  std::to_string(n);
+        ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame) << where;
+        if (edit.accepted) {
+          ASSERT_EQ(frame.seq, seq) << where;
+          EventPacket decoded(tStart, tStart + limits.durationUs);
+          decodeEventsInto(frame, tStart, decoded);
+          ASSERT_EQ(decoded.size(), n) << where;
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(decoded[k], expectedEvent(fields[k], tStart))
+                << where << ", event " << k;
+          }
+          ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame) << where;
+        } else {
+          ++corrupted;
+        }
+        ASSERT_EQ(frame.seq, seq + 1) << where;
+        ASSERT_EQ(parser.counters().framesCorrupted, corrupted) << where;
+        ASSERT_EQ(parser.next(frame), FrameParser::Status::kNeedMore) << where;
+        seq += 2;
+      }
+    }
+  }
+  EXPECT_EQ(corrupted, 8U * (13U * 14U / 2U));  // 8 rejected edits
+}
+
+TEST(WireFormatTest, DispatchedRecordKernelsMatchPortableOnEngAndLt4Frames) {
+  // Real traffic through the parser's checks and decodeEventsInto, on
+  // whichever kernels this CPU runs, against the portable kernels and
+  // the windows that were encoded.
+  const detail::RecordKernels& portable = detail::portableRecordKernels();
+  const RecordingSpec specs[] = {scaledRecording(makeSyntheticEng(5), 0.01),
+                                 scaledRecording(makeSyntheticLt4(5), 0.03)};
+  const TimeUs epoch = TimeUs{3} << 32;
+  for (const RecordingSpec& spec : specs) {
+    Recording rec = openRecording(spec);
+    FrameParser parser{NodeConfig{}};
+    DecodedFrame frame;
+    EventPacket decoded;  // reused across frames, as a queue slot is
+    std::vector<Event> reference;
+    std::size_t events = 0;
+    for (std::uint32_t seq = 0; seq < 12; ++seq) {
+      const EventPacket window = rec.source->nextWindow(kDefaultFramePeriodUs);
+      parser.offer(encodeOne(seq, 3, window));
+      ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
+      ASSERT_EQ(frame.eventCount, window.size());
+      EXPECT_FALSE(portable.check(frame.records,
+                                  {240, 180, frame.durationUs}));
+      const TimeUs tStart = epoch + window.tStart();
+      decoded.reset(tStart, tStart + window.duration());
+      decodeEventsInto(frame, tStart, decoded);
+      reference.resize(frame.eventCount);
+      portable.decode(frame.records, tStart, reference);
+      ASSERT_TRUE(std::equal(decoded.begin(), decoded.end(),
+                             reference.begin(), reference.end()))
+          << "frame " << seq;
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        ASSERT_EQ(decoded[i].t - epoch, window[i].t) << "frame " << seq;
+      }
+      events += window.size();
+    }
+    EXPECT_GT(events, 1000U);
+  }
+}
+
+TEST(WireFormatTest, DecodeChecksTheWindowAndEveryEvent) {
+  const EventPacket w = makeWindow(4);
+  const std::vector<std::byte> bytes = encodeOne(4, 7, w);
+  FrameParser parser(testConfig());
+  parser.offer(bytes);
+  DecodedFrame frame;
+  ASSERT_EQ(parser.next(frame), FrameParser::Status::kFrame);
+  const TimeUs tStart = w.tStart();
+  const TimeUs d = w.duration();
+  // out's window must hold [tStart, tStart + duration): too late a start,
+  // too early an end, or a window beside it are refused before any
+  // event is written.
+  const std::pair<TimeUs, TimeUs> misfits[] = {
+      {tStart + 1, tStart + d}, {tStart, tStart + d - 1}, {tStart - d, tStart}};
+  for (const auto& [lo, hi] : misfits) {
+    EventPacket out(lo, hi);
+    EXPECT_THROW(decodeEventsInto(frame, tStart, out), LogicError)
+        << "[" << lo << ", " << hi << ")";
+    EXPECT_TRUE(out.empty());
+  }
+  // The window is checked even when no event would be.
+  DecodedFrame empty = frame;
+  empty.eventCount = 0;
+  empty.records = {};
+  EventPacket tooShort(tStart, tStart + d - 1);
+  EXPECT_THROW(decodeEventsInto(empty, tStart, tooShort), LogicError);
+  // A wider window holds the frame.
+  EventPacket wide(tStart - 1, tStart + d + 1);
+  decodeEventsInto(frame, tStart, wide);
+  EXPECT_EQ(wide.size(), w.size());
+  // Records the parser never checked: an event at dt = duration falls
+  // outside the window, so the per-event check drops the whole frame.
+  std::vector<std::byte> records(frame.records.begin(), frame.records.end());
+  writeRecord(records.data() + 2 * kFrameEventSize,
+              RecordFields{1, 1, 1, static_cast<std::uint32_t>(d)});
+  DecodedFrame unchecked = frame;
+  unchecked.records = records;
+  EventPacket exact(tStart, tStart + d);
+  EXPECT_THROW(decodeEventsInto(unchecked, tStart, exact), LogicError);
+  EXPECT_TRUE(exact.empty());
 }
 
 TEST(WireFormatTest, ParserRejectsInvalidConfig) {

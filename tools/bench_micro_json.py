@@ -45,15 +45,16 @@ import sys
 # Stages whose per-frame loop must not allocate once warm (reused member
 # buffers; pinned by tests/test_allocation.cpp).  The reference trackers
 # and whole-pipeline benchmarks return Tracks by value (or keep deque
-# histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec)
-# and BM_LatchEng (the pixel latch) are gated here but report no
-# ops_frame: neither has a closed-form ops model, so both are absent from
-# OPS_PINNED_BENCHES.
+# histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec),
+# its parts BM_Crc32Eng and BM_DecodeEventsEng, and BM_LatchEng (the pixel
+# latch) are gated here but report no ops_frame: none has a closed-form
+# ops model, so all are absent from OPS_PINNED_BENCHES.
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
         "BM_EbbiBuildStream",
         "BM_Crc32Eng",
+        "BM_DecodeEventsEng",
         "BM_FrameParserEng",
         "BM_LatchEng",
         "BM_MedianFilter",
