@@ -1,12 +1,12 @@
 // Wall-clock microbenchmarks of every pipeline stage (google-benchmark).
 //
 // The paper's resource argument is in abstract ops; this binary grounds
-// it in time on the host CPU: EBBI build, median filter (word-parallel
-// and scalar reference), downsample + histograms, RPN, CCA, the three
-// trackers and the NN-filter, all on a realistic ENG-like frame, plus
-// the node's EBF1 frame parser, its CRC32 and its record decode on the
-// same windows encoded for the wire, and the runner's pixel latch that
-// reads them out.
+// it in time on the host CPU: EBBI build, median filter (the dispatched
+// kernel, the portable word loop and the scalar reference), downsample +
+// histograms, RPN, CCA, the three trackers and the NN-filter, all on a
+// realistic ENG-like frame, plus the node's EBF1 frame parser, its CRC32
+// and its record decode on the same windows encoded for the wire, and
+// the runner's pixel latch that reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -28,6 +28,7 @@
 #include "src/detect/cca_reference.hpp"
 #include "src/events/pixel_latch.hpp"
 #include "src/filters/median_filter_reference.hpp"
+#include "src/filters/median_majority.hpp"
 #include "src/filters/nn_filter_reference.hpp"
 #include "src/node/wire_format.hpp"
 #include "src/sim/davis.hpp"
@@ -202,6 +203,26 @@ void BM_MedianFilter(benchmark::State& state) {
   counters.report();
 }
 BENCHMARK(BM_MedianFilter);
+
+void BM_MedianFilterPortable(benchmark::State& state) {
+  // The portable word loop over the same EBBIs: the reference the
+  // dispatched register kernel is pinned against and what CPUs without
+  // AVX2 run, kept benchmarked so its speed stays visible.  It has no
+  // ops of its own: MedianFilter charges the closed form either way.
+  FrameBank& bank = FrameBank::instance();
+  BinaryImage out(240, 180);
+  std::vector<std::uint64_t> rowScratch(out.wordsPerRow());
+  std::size_t i = 0;
+  median_detail::majority3Portable(bank.ebbi(0), out, rowScratch);
+  StageCounters counters(state);
+  for (auto _ : state) {
+    median_detail::majority3Portable(bank.ebbi(i++), out, rowScratch);
+    benchmark::DoNotOptimize(out);
+    counters.frame();
+  }
+  counters.report();
+}
+BENCHMARK(BM_MedianFilterPortable);
 
 void BM_MedianFilterReference(benchmark::State& state) {
   // The scalar pixel-at-a-time baseline the word-parallel filter is

@@ -112,6 +112,11 @@ void EventPacket::commitAppended(std::size_t kept) {
   size_ += kept;
 }
 
+void EventPacket::commitAppendedUnchecked(std::size_t kept) {
+  EBBIOT_ASSERT(kept <= size_ - appendBase_);
+  size_ = appendBase_ + kept;
+}
+
 void EventPacket::append(const EventPacket& other) {
   EBBIOT_ASSERT(other.tStart_ >= tStart_ && other.tEnd_ <= tEnd_);
   // grow() may reallocate, and other may be this packet: read its

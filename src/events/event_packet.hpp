@@ -16,6 +16,8 @@
 
 namespace ebbiot {
 
+struct DecodedFrame;
+
 class EventPacket {
  public:
   EventPacket() = default;
@@ -98,6 +100,13 @@ class EventPacket {
   std::vector<Event> takeEvents() &&;
 
  private:
+  // The EBF1 decode checks every event's window offset inside its record
+  // kernel's single pass, so it commits without reading the events again.
+  friend void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
+                               EventPacket& out);
+  /// commitAppended() without the window check.
+  void commitAppendedUnchecked(std::size_t kept);
+
   /// Extends the packet by `count` events and returns the first.  Only
   /// storage past every earlier size is value-initialised.
   Event* grow(std::size_t count);

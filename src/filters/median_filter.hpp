@@ -20,7 +20,15 @@
 // its active band.  The output's row occupancy is exact: a row the
 // majority leaves blank is never written or marked, so the downsampler,
 // CCA and the region scans downstream skip the rows noise alone touched.
-// p = 1 is an identity copy; other patch sizes use a scalar fallback.
+// Where the CPU has AVX2 (checked once per process) and a row is at most
+// four words (256 px; the paper's 240 px), the band runs at register
+// width: each input row's horizontal 3-sum is computed once, with the
+// cross-word carries as lane permutes, and kept in registers as the
+// north, centre and south sums while the band moves down; the output row
+// is stored only when it is non-zero.  The portable word loop
+// (median_detail::majority3Portable) is the reference and runs
+// everywhere else.  p = 1 is an identity copy; other patch sizes use a
+// scalar fallback.
 //
 // The *reported* OpCounts stay the paper's abstract accounting, computed
 // in closed form so they are bit-identical to the metered values of the
@@ -58,12 +66,11 @@ class MedianFilter {
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }
 
  private:
-  void applyMajority3(const BinaryImage& input, BinaryImage& output);
   void applyScalar(const BinaryImage& input, BinaryImage& output) const;
 
   int patchSize_;
   OpCounts ops_;
-  /// One output row of the 3x3 kernel (wordsPerRow words), reused.
+  /// One output row of the portable 3x3 loop (wordsPerRow words), reused.
   std::vector<std::uint64_t> rowScratch_;
 };
 

@@ -1,12 +1,14 @@
-// Bit-sliced 3x3 majority kernel and Eq. (1) closed-form accounting of
+// Bit-sliced 3x3 majority kernels and Eq. (1) closed-form accounting of
 // the word-parallel MedianFilter (src/filters/median_filter.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "src/common/op_counter.hpp"
+#include "src/ebbi/binary_image.hpp"
 
 namespace ebbiot {
 namespace median_detail {
@@ -72,6 +74,36 @@ inline std::uint64_t majority3Row(const std::uint64_t* rowN,
   }
   return any;
 }
+
+/// The rows a 3x3 kernel visits: the input's occupied row span with its
+/// +-1 halo, clamped to the frame.  Rows outside it have a blank 3-row
+/// band, so their output is blank; a blank frame gives an empty band.
+inline RowSpan majority3Band(const BinaryImage& input) {
+  const RowSpan span = input.occupiedRowSpan();
+  if (span.empty()) {
+    return {};
+  }
+  return {std::max(0, span.begin - 1), std::min(input.height(), span.end + 1)};
+}
+
+/// The p = 3 kernels behind MedianFilter::applyInto, exposed so tests can
+/// pin each one against MedianFilterReference on any host.  A kernel
+/// overwrites `output` (the shape of `input`) with the 3x3 majority of
+/// `input` and marks exactly the rows it leaves non-blank, so the
+/// output's row occupancy is exact.  `rowScratch` holds
+/// input.wordsPerRow() words for the portable loop, which builds a row
+/// before it knows whether to store it.
+using Majority3Kernel = void (*)(const BinaryImage& input, BinaryImage& output,
+                                 std::span<std::uint64_t> rowScratch);
+/// The band loop over majority3Row: the reference for every other kernel.
+void majority3Portable(const BinaryImage& input, BinaryImage& output,
+                       std::span<std::uint64_t> rowScratch);
+/// The AVX2 kernel, or nullptr where the CPU cannot run it.  Rows wider
+/// than four words (256 px) run the portable loop.
+[[nodiscard]] Majority3Kernel majority3Avx2Kernel();
+/// The kernel MedianFilter runs: AVX2 where the CPU has it (checked once
+/// per process), portable elsewhere.
+[[nodiscard]] Majority3Kernel majority3Kernel();
 
 /// Sum over all n positions of the clamped 1-D patch width
 /// min(n-1, i+r) - max(0, i-r) + 1.  The 2-D clamped patch-pixel total

@@ -3,10 +3,11 @@
 // load and one zero-masking byte permute turn four 9-byte records into
 // four 16-byte Events: x, y and polarity land in place and dt lands
 // zero-extended in t.  The check folds those lanes into running maxima
-// and compares them once; the decode adds tStart to the t lanes and
-// stores 64 bytes.  The last 1-3 records use narrower masks, so no byte
-// past the records is read or written.  Both kernels return exactly what
-// the portable kernels in wire_format.cpp return.
+// and compares them once; the decode adds tStart to the t lanes, stores
+// 64 bytes and keeps the running maximum of dt alone.  The last 1-3
+// records use narrower masks, so no byte past the records is read or
+// written.  Both kernels return exactly what the portable kernels in
+// wire_format.cpp return.
 #include <array>
 #include <cstddef>
 
@@ -118,12 +119,14 @@ EBBIOT_VBMI bool checkRecordsVbmi(std::span<const std::byte> records,
   return (xyBad | dtBad | pBad) != 0;
 }
 
-EBBIOT_VBMI void decodeRecordsVbmi(std::span<const std::byte> records,
-                                   TimeUs tStart, std::span<Event> out) {
+EBBIOT_VBMI bool decodeRecordsVbmi(std::span<const std::byte> records,
+                                   TimeUs tStart, std::uint32_t durationUs,
+                                   std::span<Event> out) {
   EBBIOT_ASSERT(records.size() == out.size() * kFrameEventSize);
   const __m512i index = _mm512_loadu_si512(kSpreadIndex.data());
   const __m512i start = _mm512_set1_epi64(tStart);
   constexpr __mmask8 kTLanes = 0xAA;  // the odd 64-bit lanes hold t
+  __m512i maxDt = _mm512_setzero_si512();  // 32-bit lanes: dt
   const std::byte* rec = records.data();
   Event* dst = out.data();
   std::size_t n = out.size();
@@ -131,13 +134,21 @@ EBBIOT_VBMI void decodeRecordsVbmi(std::span<const std::byte> records,
                                rec += kRecordsPerStep * kFrameEventSize,
                                dst += kRecordsPerStep) {
     const __m512i v = spread(rec, kRecordsPerStep, index);
+    maxDt = _mm512_mask_max_epu32(maxDt, kDtDwords, maxDt, v);
     _mm512_storeu_si512(dst, _mm512_mask_add_epi64(v, kTLanes, v, start));
   }
   if (n > 0) {
+    // Empty lanes read dt = 0: late only at durationUs = 0, where every
+    // record is.
     const __m512i v = spread(rec, n, index);
+    maxDt = _mm512_mask_max_epu32(maxDt, kDtDwords, maxDt, v);
     _mm512_mask_storeu_epi64(dst, static_cast<__mmask8>((1U << (2 * n)) - 1),
                              _mm512_mask_add_epi64(v, kTLanes, v, start));
   }
+  return !out.empty() &&
+         _mm512_mask_cmpge_epu32_mask(
+             kDtDwords, maxDt,
+             _mm512_set1_epi32(static_cast<int>(durationUs))) != 0;
 }
 
 }  // namespace

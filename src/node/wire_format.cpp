@@ -114,19 +114,22 @@ bool checkRecordsPortable(std::span<const std::byte> records,
   return impossible;
 }
 
-void decodeRecordsPortable(std::span<const std::byte> records, TimeUs tStart,
-                           std::span<Event> out) {
+bool decodeRecordsPortable(std::span<const std::byte> records, TimeUs tStart,
+                           std::uint32_t durationUs, std::span<Event> out) {
   EBBIOT_ASSERT(records.size() == out.size() * kFrameEventSize);
   const std::byte* rec = records.data();
+  bool late = false;
   for (Event& e : out) {
+    const auto dt = getLe<std::uint32_t>(rec + kRecordDtOffset);
     e.x = getLe<std::uint16_t>(rec + kRecordXOffset);
     e.y = getLe<std::uint16_t>(rec + kRecordYOffset);
     e.p = static_cast<Polarity>(
         getLe<std::int8_t>(rec + kRecordPolarityOffset));
-    e.t = tStart +
-          static_cast<TimeUs>(getLe<std::uint32_t>(rec + kRecordDtOffset));
+    e.t = tStart + static_cast<TimeUs>(dt);
+    late |= dt >= durationUs;
     rec += kFrameEventSize;
   }
+  return late;
 }
 
 }  // namespace
@@ -153,9 +156,14 @@ void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
                 std::size_t{frame.eventCount} * kFrameEventSize);
   EBBIOT_ASSERT(tStart >= out.tStart() &&
                 tStart + TimeUs{frame.durationUs} <= out.tEnd());
-  detail::recordKernels().decode(frame.records, tStart,
-                                 out.appendBuffer(frame.eventCount));
-  out.commitAppended(frame.eventCount);
+  // Every event lies in [tStart, tStart + durationUs), inside out's
+  // window, iff every dt is below durationUs: the kernel checks that in
+  // its one pass, so the commit need not read the events again.
+  const bool late = detail::recordKernels().decode(
+      frame.records, tStart, frame.durationUs,
+      out.appendBuffer(frame.eventCount));
+  out.commitAppendedUnchecked(late ? 0 : frame.eventCount);
+  EBBIOT_ASSERT(!late);
 }
 
 TimestampUnwrapper::Result TimestampUnwrapper::unwrap(std::uint32_t t32) {

@@ -90,11 +90,12 @@ struct RecordLimits {
 /// host.  `records` holds whole kFrameEventSize-byte records, and no
 /// kernel reads a byte outside it.  `check` is true when any record breaks
 /// `limits`.  `decode` writes record i to out[i] at tStart + dt, whatever
-/// the records hold; `out` has one event per record (asserted).
+/// the records hold, and is true when any dt >= durationUs; `out` has one
+/// event per record (asserted).
 struct RecordKernels {
   bool (*check)(std::span<const std::byte> records, const RecordLimits& limits);
-  void (*decode)(std::span<const std::byte> records, TimeUs tStart,
-                 std::span<Event> out);
+  bool (*decode)(std::span<const std::byte> records, TimeUs tStart,
+                 std::uint32_t durationUs, std::span<Event> out);
 };
 /// The scalar loops: the reference for every other kernel.
 [[nodiscard]] const RecordKernels& portableRecordKernels();
@@ -142,8 +143,9 @@ struct DecodedFrame {
 
 /// Append `frame`'s events to `out` in wire order, each at absolute time
 /// tStart + dt.  `out`'s window must hold [tStart, tStart + durationUs)
-/// (checked, and so is every event), and `frame.records` must still be
-/// valid.  Runs the record kernel recordKernels() chose.
+/// (checked), every dt must be below durationUs (checked in the decode's
+/// own pass; on failure `out` is left as it was), and `frame.records` must
+/// still be valid.  Runs the record kernel recordKernels() chose.
 void decodeEventsInto(const DecodedFrame& frame, TimeUs tStart,
                       EventPacket& out);
 

@@ -450,8 +450,8 @@ Event expectedEvent(const RecordFields& f, TimeUs tStart) {
 /// Every boundary edit at every position of frames of 1-13 records, so
 /// each of the four lanes of a 4-record step and every tail length 0-3
 /// meets each edit.  Limits at the bottom and top of their ranges catch
-/// signed compares and off-by-one bounds; accepted records must also
-/// decode to their fields.
+/// signed compares and off-by-one bounds.  Every record decodes to its
+/// fields, and the decode flags exactly the frames with dt >= duration.
 void expectBoundaryVerdicts(const detail::RecordKernels& kernels) {
   const TimeUs tStart = (TimeUs{5} << 32) + 77;
   const detail::RecordLimits limitSets[] = {
@@ -470,11 +470,12 @@ void expectBoundaryVerdicts(const detail::RecordKernels& kernels) {
           ASSERT_EQ(kernels.check(records, limits), !edit.accepted)
               << edit.what << " in record " << i << " of " << n
               << ", width " << limits.width;
-          if (!edit.accepted) {
-            continue;
-          }
+          const bool late = fields[i].dt >= limits.durationUs;
           std::vector<Event> out(n);
-          kernels.decode(records, tStart, out);
+          ASSERT_EQ(kernels.decode(records, tStart, limits.durationUs, out),
+                    late)
+              << edit.what << " in record " << i << " of " << n
+              << ", width " << limits.width;
           for (std::size_t k = 0; k < n; ++k) {
             ASSERT_EQ(out[k], expectedEvent(fields[k], tStart))
                 << edit.what << " in record " << i << " of " << n
@@ -513,6 +514,7 @@ TEST(RecordKernelsTest, VbmiKernelsMatchPortableOnRandomRecords) {
   const Event sentinel{1, 2, Polarity::kOff, -5};
   Rng rng(21);
   std::size_t verdicts[2] = {0, 0};
+  std::size_t lateFrames = 0;
   for (int round = 0; round < 3000; ++round) {
     const auto n = static_cast<std::size_t>(rng.uniformInt(0, 40));
     const auto offset = static_cast<std::size_t>(rng.uniformInt(0, 15));
@@ -541,13 +543,19 @@ TEST(RecordKernelsTest, VbmiKernelsMatchPortableOnRandomRecords) {
     ++verdicts[impossible ? 1 : 0];
     std::vector<Event> want(n + 1, sentinel);
     std::vector<Event> got(n + 1, sentinel);
-    portable.decode(records, tStart, {want.data(), n});
-    vbmi->decode(records, tStart, {got.data(), n});
+    const bool late =
+        portable.decode(records, tStart, limits.durationUs, {want.data(), n});
+    ASSERT_EQ(vbmi->decode(records, tStart, limits.durationUs,
+                           {got.data(), n}),
+              late)
+        << "round " << round << ", " << n << " records";
     ASSERT_EQ(got, want) << "round " << round << ", " << n << " records";
+    lateFrames += late ? 1 : 0;
   }
   // Both verdicts occur often enough to matter.
   EXPECT_GT(verdicts[0], 1000U);
   EXPECT_GT(verdicts[1], 500U);
+  EXPECT_GT(lateFrames, 100U);
 }
 
 TEST(WireFormatTest, RecordBoundariesThroughTheParserAtEveryLaneAndTail) {
@@ -630,7 +638,8 @@ TEST(WireFormatTest, DispatchedRecordKernelsMatchPortableOnEngAndLt4Frames) {
       decoded.reset(tStart, tStart + window.duration());
       decodeEventsInto(frame, tStart, decoded);
       reference.resize(frame.eventCount);
-      portable.decode(frame.records, tStart, reference);
+      EXPECT_FALSE(
+          portable.decode(frame.records, tStart, frame.durationUs, reference));
       ASSERT_TRUE(std::equal(decoded.begin(), decoded.end(),
                              reference.begin(), reference.end()))
           << "frame " << seq;
@@ -683,6 +692,55 @@ TEST(WireFormatTest, DecodeChecksTheWindowAndEveryEvent) {
   EventPacket exact(tStart, tStart + d);
   EXPECT_THROW(decodeEventsInto(unchecked, tStart, exact), LogicError);
   EXPECT_TRUE(exact.empty());
+}
+
+TEST(WireFormatTest, DecodeBoundsEveryDtAtEveryLaneAndTail) {
+  // decodeEventsInto's window check runs inside the record kernel's one
+  // pass.  Records the parser never checked, with one dt at the limit,
+  // in every lane and tail position of 1-13-record frames, decoded after
+  // two events already in the packet: dt = duration - 1 appends the
+  // frame, and dt = duration throws and leaves the packet's events and
+  // window as they were.
+  const TimeUs d = 10'000;
+  const TimeUs tStart = (TimeUs{7} << 32) + 11;
+  const detail::RecordLimits limits{64, 48, static_cast<std::uint32_t>(d)};
+  for (std::size_t n = 1; n <= 13; ++n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const bool atLimit : {false, true}) {
+        std::vector<RecordFields> fields = validFields(n, limits);
+        fields[i].dt = static_cast<std::uint32_t>(atLimit ? d : d - 1);
+        const std::vector<std::byte> records = writeRecords(fields);
+        DecodedFrame frame;
+        frame.durationUs = static_cast<std::uint32_t>(d);
+        frame.eventCount = static_cast<std::uint32_t>(n);
+        frame.records = records;
+        EventPacket out(tStart - 5, tStart + d);
+        out.push(Event{3, 4, Polarity::kOn, tStart - 5});
+        out.push(Event{5, 6, Polarity::kOff, tStart - 1});
+        const std::vector<Event> before(out.begin(), out.end());
+        const std::string where = "dt = duration" +
+                                  std::string(atLimit ? "" : " - 1") +
+                                  " in record " + std::to_string(i) + " of " +
+                                  std::to_string(n);
+        if (atLimit) {
+          EXPECT_THROW(decodeEventsInto(frame, tStart, out), LogicError)
+              << where;
+          EXPECT_EQ(std::vector<Event>(out.begin(), out.end()), before)
+              << where;
+        } else {
+          decodeEventsInto(frame, tStart, out);
+          ASSERT_EQ(out.size(), before.size() + n) << where;
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(out[before.size() + k],
+                      expectedEvent(fields[k], tStart))
+                << where << ", event " << k;
+          }
+        }
+        EXPECT_EQ(out.tStart(), tStart - 5) << where;
+        EXPECT_EQ(out.tEnd(), tStart + d) << where;
+      }
+    }
+  }
 }
 
 TEST(WireFormatTest, ParserRejectsInvalidConfig) {

@@ -46,9 +46,11 @@ import sys
 # buffers; pinned by tests/test_allocation.cpp).  The reference trackers
 # and whole-pipeline benchmarks return Tracks by value (or keep deque
 # histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec),
-# its parts BM_Crc32Eng and BM_DecodeEventsEng, and BM_LatchEng (the pixel
-# latch) are gated here but report no ops_frame: none has a closed-form
-# ops model, so all are absent from OPS_PINNED_BENCHES.
+# its parts BM_Crc32Eng and BM_DecodeEventsEng, BM_LatchEng (the pixel
+# latch) and BM_MedianFilterPortable (the median's portable kernel, run
+# directly) are gated here but report no ops_frame: none has a
+# closed-form ops model of its own, so all are absent from
+# OPS_PINNED_BENCHES.
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
@@ -58,6 +60,7 @@ STEADY_STATE_BENCHES = frozenset(
         "BM_FrameParserEng",
         "BM_LatchEng",
         "BM_MedianFilter",
+        "BM_MedianFilterPortable",
         "BM_MedianFilterReference",
         "BM_DownsampleAndHistogram",
         "BM_HistogramRpn",
