@@ -3,10 +3,10 @@
 // The paper's resource argument is in abstract ops; this binary grounds
 // it in time on the host CPU: EBBI build, median filter (the dispatched
 // kernel, the portable word loop and the scalar reference), downsample +
-// histograms, RPN, CCA, the three trackers and the NN-filter, all on a
-// realistic ENG-like frame, plus the node's EBF1 frame parser, its CRC32
-// and its record decode on the same windows encoded for the wire, and
-// the runner's pixel latch that reads them out.
+// histograms, RPN, CCA, the three trackers, the Kalman filter step and
+// the NN-filter, all on a realistic ENG-like frame, plus the node's EBF1
+// frame parser, its CRC32 and its record decode on the same windows
+// encoded for the wire, and the runner's pixel latch that reads them out.
 //
 // Two extra counters per stage feed the perf trajectory (BENCH_micro.json
 // in CI, via tools/bench_micro_json.py):
@@ -460,6 +460,36 @@ void BM_KalmanTracker(benchmark::State& state) {
   counters.report();
 }
 BENCHMARK(BM_KalmanTracker);
+
+void BM_KalmanFilterStep(benchmark::State& state) {
+  // The constant-velocity filter alone: one predict + update per frame at
+  // the next centroid of the bank's RPN proposals, the step KalmanTracker
+  // and HybridTracker take for each matched track.  The trackers' metered
+  // ops model Eq. (7)'s matrix recursion, not this code, so the cell has
+  // time and allocs_frame only.
+  FrameBank& bank = FrameBank::instance();
+  std::vector<Vec2f> centroids;
+  for (std::size_t f = 0; f < bank.size(); ++f) {
+    for (const RegionProposal& p : bank.proposals(f)) {
+      centroids.push_back(p.box.center());
+    }
+  }
+  if (centroids.empty()) {
+    state.SkipWithError("no proposals in the frame bank");
+    return;
+  }
+  ConstantVelocityKalman filter(centroids.front(), KalmanConfig{});
+  StageCounters counters(state);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    filter.predict();
+    filter.update(centroids[i++ % centroids.size()]);
+    benchmark::DoNotOptimize(filter);
+    counters.frame();
+  }
+  counters.report();
+}
+BENCHMARK(BM_KalmanFilterStep);
 
 void BM_NnFilter(benchmark::State& state) {
   FrameBank& bank = FrameBank::instance();

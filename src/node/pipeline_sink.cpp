@@ -81,8 +81,7 @@ void PipelineSink::coastOneWindow() {
 }
 
 void PipelineSink::applyResync() {
-  if (config_.resync == ResyncPolicy::kRestoreSnapshot && snapshotValid_ &&
-      pipeline_->restoreState(*snapshot_)) {
+  if (snapshotValid_ && pipeline_->restoreState(*snapshot_)) {
     ++counters_.resyncRestores;
     return;
   }

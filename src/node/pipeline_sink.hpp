@@ -21,11 +21,11 @@
 //     (allocation-free once warm; see Pipeline::saveState).  When the
 //     stream resyncs — an unbridgeable gap, a rebased sequence space
 //     after a watchdog re-adopt, or the first real window after blind
-//     idle coasting — the ResyncPolicy decides between restoring that
-//     last observed state (kRestoreSnapshot: tracks survive the outage
-//     frozen at their last confirmed positions, blind predictions are
-//     rolled back) and resetting the pipeline (kReset: the outage is
-//     treated as a scene change).
+//     idle coasting — the sink restores that last observed state: tracks
+//     survive the outage frozen at their last confirmed positions, and
+//     blind predictions are rolled back.  A pipeline with no snapshot
+//     support (makeSnapshot() returns nullptr), or one whose restore
+//     fails, is reset instead, as if the outage were a scene change.
 //
 // Threading: a PipelineSink is consumer-side state of exactly one
 // session; it runs wherever that session's drainInto runs (one shard of
@@ -43,23 +43,11 @@
 
 namespace ebbiot {
 
-/// What to do with tracker state when the stream loses continuity beyond
-/// what coasting can bridge.
-enum class ResyncPolicy {
-  /// Roll back to the last observed state; tracks re-adopt where they
-  /// were last confirmed.  Falls back to reset when the pipeline has no
-  /// snapshot support.
-  kRestoreSnapshot,
-  /// Drop all tracker state; the resynced stream is a fresh scene.
-  kReset,
-};
-
 struct PipelineSinkConfig {
   /// Longest run of lost or silent windows bridged by coasting; beyond
-  /// it the sink resyncs per `resync` (>= 1 for coasting to exist; 0 is
-  /// legal and turns every gap into a resync).
+  /// it the sink resyncs (>= 1 for coasting to exist; 0 is legal and
+  /// turns every gap into a resync).
   std::uint32_t maxCoastWindows = 8;
-  ResyncPolicy resync = ResyncPolicy::kRestoreSnapshot;
 };
 
 class PipelineSink final : public WindowSink {
@@ -92,7 +80,7 @@ class PipelineSink final : public WindowSink {
 
   /// One blind coast step for a silent sensor; returns false once the
   /// per-outage budget (maxCoastWindows) is spent.  The next real window
-  /// resyncs per policy, rolling the blind predictions back.
+  /// resyncs, rolling the blind predictions back.
   bool coastIdle();
 
   [[nodiscard]] const Tracks& lastTracks() const { return lastTracks_; }

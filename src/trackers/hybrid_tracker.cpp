@@ -12,6 +12,7 @@ HybridTracker::HybridTracker(const HybridTrackerConfig& config)
   EBBIOT_ASSERT(config.matchFraction > 0.0F && config.matchFraction <= 1.0F);
   EBBIOT_ASSERT(config.sizeSmoothing >= 0.0F && config.sizeSmoothing <= 1.0F);
   EBBIOT_ASSERT(config.frameWidth > 0 && config.frameHeight > 0);
+  config.filter.validate();
 }
 
 BBox HybridTracker::predictedBox(const Entry& entry) const {

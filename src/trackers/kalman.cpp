@@ -2,69 +2,96 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 
 #include "src/common/error.hpp"
 #include "src/trackers/assignment.hpp"
 
 namespace ebbiot {
 
+void KalmanConfig::validate() const {
+  const auto check = [](double value, const char* name) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw ConfigError(std::string("KalmanConfig: ") + name +
+                        " must be finite and >= 0 (got " +
+                        std::to_string(value) + ")");
+    }
+  };
+  check(processNoise, "processNoise");
+  check(measurementNoise, "measurementNoise");
+  check(initialVelocitySigma, "initialVelocitySigma");
+}
+
 ConstantVelocityKalman::ConstantVelocityKalman(Vec2f position,
                                                const KalmanConfig& config)
-    : x_(Matrix::columnVector({position.x, position.y, 0.0, 0.0})),
-      p_(Matrix::diagonal({config.measurementNoise * config.measurementNoise,
-                           config.measurementNoise * config.measurementNoise,
-                           config.initialVelocitySigma *
-                               config.initialVelocitySigma,
-                           config.initialVelocitySigma *
-                               config.initialVelocitySigma})),
-      f_(Matrix(4, 4,
-                {1, 0, 1, 0,  //
-                 0, 1, 0, 1,  //
-                 0, 0, 1, 0,  //
-                 0, 0, 0, 1})),
-      h_(Matrix(2, 4,
-                {1, 0, 0, 0,  //
-                 0, 1, 0, 0})),
-      r_(Matrix::diagonal(
-          {config.measurementNoise * config.measurementNoise,
-           config.measurementNoise * config.measurementNoise})) {
-  // Discrete white-noise acceleration model, dt = 1 frame:
-  //   Q = q * [dt^4/4, dt^3/2; dt^3/2, dt^2] per axis.
-  const double q = config.processNoise;
-  q_ = Matrix(4, 4);
-  q_(0, 0) = q / 4.0;
-  q_(1, 1) = q / 4.0;
-  q_(0, 2) = q / 2.0;
-  q_(2, 0) = q / 2.0;
-  q_(1, 3) = q / 2.0;
-  q_(3, 1) = q / 2.0;
-  q_(2, 2) = q;
-  q_(3, 3) = q;
+    // Discrete white-noise acceleration model, dt = 1 frame.
+    : q4_(config.processNoise / 4.0),
+      q2_(config.processNoise / 2.0),
+      q_(config.processNoise),
+      r_(config.measurementNoise * config.measurementNoise) {
+  const Covariance p0{r_, 0.0, 0.0,
+                      config.initialVelocitySigma *
+                          config.initialVelocitySigma};
+  axes_ = {Axis{position.x, 0.0, p0}, Axis{position.y, 0.0, p0}};
 }
 
 void ConstantVelocityKalman::predict() {
-  x_ = f_ * x_;
-  p_ = f_ * p_ * f_.transposed() + q_;
+  for (Axis& s : axes_) {
+    const Covariance o = s.cov;
+    s.p += s.v;
+    s.cov.a = ((o.a + o.c) + (o.b + o.d)) + q4_;
+    s.cov.b = (o.b + o.d) + q2_;
+    s.cov.c = (o.c + o.d) + q2_;
+    s.cov.d = o.d + q_;
+  }
 }
 
 void ConstantVelocityKalman::update(Vec2f measuredPosition) {
-  const Matrix z = Matrix::columnVector(
-      {measuredPosition.x, measuredPosition.y});
-  const Matrix innovation = z - h_ * x_;
-  const Matrix s = h_ * p_ * h_.transposed() + r_;
-  const Matrix k = p_ * h_.transposed() * s.inverted();
-  x_ = x_ + k * innovation;
-  p_ = (Matrix::identity(4) - k * h_) * p_;
-  lastInnovation_ = std::hypot(innovation(0, 0), innovation(1, 0));
+  // S = H P H^T + R is diagonal, one pivot a + r per axis; inverting it
+  // is refused, before either axis changes, on a pivot below 1e-12.
+  for (const Axis& s : axes_) {
+    if (std::abs(s.cov.a + r_) < 1e-12) {
+      throw LogicError("ConstantVelocityKalman::update: singular S");
+    }
+  }
+  const std::array<double, 2> z{measuredPosition.x, measuredPosition.y};
+  std::array<double, 2> e{};
+  for (std::size_t i = 0; i < 2; ++i) {
+    Axis& s = axes_[i];
+    const Covariance o = s.cov;
+    e[i] = z[i] - s.p;
+    const double inv = 1.0 / (o.a + r_);
+    const double k0 = o.a * inv;
+    const double k1 = o.c * inv;
+    // Products round before they are summed, as in the dense 4x4
+    // products; as separate statements they stay unfused under
+    // FP_CONTRACT.
+    const double dp = k0 * e[i];
+    const double dv = k1 * e[i];
+    const double dc = k1 * o.a;
+    const double dd = k1 * o.b;
+    s.p += dp;
+    s.v += dv;
+    s.cov.a = (1.0 - k0) * o.a;
+    s.cov.b = (1.0 - k0) * o.b;
+    s.cov.c = o.c - dc;
+    s.cov.d = o.d - dd;
+  }
+  lastInnovation_ = std::hypot(e[0], e[1]);
 }
 
 Vec2f ConstantVelocityKalman::position() const {
-  return {static_cast<float>(x_(0, 0)), static_cast<float>(x_(1, 0))};
+  return {static_cast<float>(axes_[0].p), static_cast<float>(axes_[1].p)};
 }
 
 Vec2f ConstantVelocityKalman::velocity() const {
-  return {static_cast<float>(x_(2, 0)), static_cast<float>(x_(3, 0))};
+  return {static_cast<float>(axes_[0].v), static_cast<float>(axes_[1].v)};
+}
+
+const ConstantVelocityKalman::Covariance& ConstantVelocityKalman::covariance(
+    int axis) const {
+  EBBIOT_ASSERT(axis == 0 || axis == 1);
+  return axes_[static_cast<std::size_t>(axis)].cov;
 }
 
 KalmanTracker::KalmanTracker(const KalmanTrackerConfig& config)
@@ -72,6 +99,7 @@ KalmanTracker::KalmanTracker(const KalmanTrackerConfig& config)
   EBBIOT_ASSERT(config.maxTracks >= 1);
   EBBIOT_ASSERT(config.gateDistance > 0.0);
   EBBIOT_ASSERT(config.frameWidth > 0 && config.frameHeight > 0);
+  config.filter.validate();
 }
 
 void KalmanTracker::refreshTrackBox(Entry& entry) {

@@ -5,19 +5,18 @@
 // description keeps a measurement vector of the two centroid coordinates
 // per track).  This module provides:
 //   * ConstantVelocityKalman — a single-target KF with state
-//     [xc, yc, vx, vy]^T and measurement [xc, yc]^T on the dense Matrix
-//     type, with the standard predict/update recursions; and
+//     [xc, yc, vx, vy]^T and measurement [xc, yc]^T, run as two
+//     independent per-axis filters (see the class comment); and
 //   * KalmanTracker — the multi-target manager: greedy gated nearest-
 //     centroid association of RPN proposals to tracks, seeding from
 //     unmatched proposals, and EMA box-size smoothing (the KF itself
 //     estimates only the centroid, as in the paper).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "src/common/matrix.hpp"
 #include "src/common/op_counter.hpp"
 #include "src/detect/region.hpp"
 #include "src/trackers/track.hpp"
@@ -28,17 +27,39 @@ struct KalmanConfig {
   double processNoise = 1.0;      ///< accel noise spectral density, px/fr^2
   double measurementNoise = 2.0;  ///< centroid measurement sigma, px
   double initialVelocitySigma = 5.0;
+
+  /// Throws ConfigError unless every field is finite and >= 0.
+  void validate() const;
 };
 
 /// Single-target constant-velocity Kalman filter (frame-indexed: dt = 1).
+///
+/// F, H, Q, R and the initial covariance are block-diagonal per axis, so
+/// the 4-state recursion is two independent filters over (position,
+/// velocity): the covariance blocks between the axes stay exactly zero and
+/// the innovation covariance S is diagonal.  Each axis keeps its own 2x2
+/// block, not symmetrised, and does the floating-point operations of the
+/// dense 4x4 products P <- F P F^T + Q, K = P H^T S^-1 and
+/// P <- (I - K H) P in their order, so it equals that recursion bit for
+/// bit (pinned in tests/test_kalman.cpp).
 class ConstantVelocityKalman {
  public:
+  /// One axis' covariance over (position, velocity): [[a, b], [c, d]].
+  struct Covariance {
+    double a = 0.0;
+    double b = 0.0;
+    double c = 0.0;
+    double d = 0.0;
+  };
+
   ConstantVelocityKalman(Vec2f position, const KalmanConfig& config);
 
   /// Time update: x <- F x, P <- F P F^T + Q.
   void predict();
 
-  /// Measurement update with a centroid observation.
+  /// Measurement update with a centroid observation.  Throws LogicError,
+  /// leaving the filter unchanged, when an axis' innovation variance
+  /// P_pp + R is below 1e-12 in magnitude.
   void update(Vec2f measuredPosition);
 
   [[nodiscard]] Vec2f position() const;
@@ -47,15 +68,21 @@ class ConstantVelocityKalman {
   /// Innovation (pre-fit residual) magnitude of the last update.
   [[nodiscard]] double lastInnovation() const { return lastInnovation_; }
 
-  [[nodiscard]] const Matrix& covariance() const { return p_; }
+  /// Covariance block of axis 0 (x) or 1 (y).
+  [[nodiscard]] const Covariance& covariance(int axis) const;
 
  private:
-  Matrix x_;  ///< 4x1 state [xc, yc, vx, vy]
-  Matrix p_;  ///< 4x4 covariance
-  Matrix f_;  ///< 4x4 transition
-  Matrix q_;  ///< 4x4 process noise
-  Matrix h_;  ///< 2x4 measurement
-  Matrix r_;  ///< 2x2 measurement noise
+  struct Axis {
+    double p = 0.0;  ///< position
+    double v = 0.0;  ///< velocity
+    Covariance cov;
+  };
+
+  std::array<Axis, 2> axes_;
+  double q4_ = 0.0;  ///< Q per axis, dt = 1: [[q/4, q/2], [q/2, q]]
+  double q2_ = 0.0;
+  double q_ = 0.0;
+  double r_ = 0.0;   ///< R per axis: measurementNoise^2
   double lastInnovation_ = 0.0;
 };
 

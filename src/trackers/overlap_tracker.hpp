@@ -24,9 +24,13 @@
 //
 // Engineering elaborations the paper leaves open (documented choices):
 //   * matching is resolved per connected component of the tracker/proposal
-//     overlap graph; mixed components (>= 2 trackers and >= 2 proposals)
-//     assign each proposal to its best-overlap tracker and then reduce to
-//     cases 4/5;
+//     overlap graph.  A component with one tracker is case 4.  With >= 2
+//     trackers, every proposal shared by several trackers is resolved
+//     first: if two of their trajectories cross, all of them coast
+//     (occlusion); otherwise they merge into the senior tracker (most
+//     hits), which takes the proposal.  Each exclusive proposal then goes
+//     to its tracker, or to the senior that tracker merged into; a
+//     coasting tracker consumes its proposals without updating;
 //   * trackers missing a match coast along their velocity and are freed
 //     after `maxMisses` consecutive misses or when they leave the frame;
 //   * tracks are only *reported* after `minHitsToReport` matched frames,
@@ -129,10 +133,12 @@ class OverlapTracker {
   std::uint32_t nextId_ = 1;
   OpCounts ops_;
 
-  /// Per-frame working storage, reused across update() calls so the
-  /// steady-state loop does not allocate (component-local vectors inside
-  /// the case-5 resolution still may; they only exist when trackers
-  /// interact).
+  /// Per-frame working storage, reused across update() calls.  The rest
+  /// of update() still allocates: every component with a match builds
+  /// its compTrackers, compProposals and both search stacks, and
+  /// absorbFragments copies its proposal list to sort it; components of
+  /// >= 2 trackers add per-tracker vectors, and the returned Tracks is a
+  /// new vector.
   struct Scratch {
     std::vector<RegionProposal> proposals;     ///< after ROE masking
     std::vector<int> live;                     ///< occupied slot indices

@@ -9,6 +9,7 @@
 // other test is unaffected beyond a relaxed atomic increment).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,7 +27,9 @@
 #include "src/node/pipeline_sink.hpp"
 #include "src/node/sensor_session.hpp"
 #include "src/node/wire_format.hpp"
+#include "src/sim/recording.hpp"
 #include "src/trackers/ebms.hpp"
+#include "src/trackers/kalman.hpp"
 
 namespace ebbiot {
 namespace {
@@ -461,6 +464,81 @@ TEST(AllocationAuditTest, PipelineSinkLatchAndSnapshotAllocateNothing) {
   }
   EXPECT_EQ(stub.state().windows, 12U);
   EXPECT_EQ(stub.state().events, deliveredEvents);
+}
+
+TEST(AllocationAuditTest, KalmanFilterConstructStepAndCopyAllocateNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The filter is plain values: seeding a track, stepping it and copying
+  // it (as a pipeline snapshot does) never touch the heap.
+  std::uint64_t before = gAllocations.load();
+  ConstantVelocityKalman kf(Vec2f{10, 20}, KalmanConfig{});
+  EXPECT_EQ(gAllocations.load() - before, 0U) << "construct";
+  before = gAllocations.load();
+  for (int f = 1; f <= 8; ++f) {
+    kf.predict();
+    kf.update(Vec2f{10.0F + 2.0F * static_cast<float>(f),
+                    20.0F - static_cast<float>(f)});
+  }
+  EXPECT_EQ(gAllocations.load() - before, 0U) << "predict + update";
+  before = gAllocations.load();
+  ConstantVelocityKalman copy = kf;
+  EXPECT_EQ(gAllocations.load() - before, 0U) << "copy";
+  EXPECT_EQ(copy.position(), kf.position());
+  EXPECT_GT(kf.velocity().x, 0.0F);
+}
+
+/// Allocations of PipelineT::saveState over `windows`, replayed after
+/// resetState() into the snapshot that a first pass over the same windows
+/// warmed; `maxLive` gets the most live tracks a save copied.
+template <typename PipelineT>
+std::uint64_t warmSnapshotSaveAllocations(
+    const std::vector<EventPacket>& windows, int& maxLive) {
+  PipelineT pipeline{typename PipelineT::Config{}};
+  const std::unique_ptr<PipelineSnapshot> snapshot = pipeline.makeSnapshot();
+  for (const EventPacket& w : windows) {  // warm-up: capacity grows here
+    (void)pipeline.processWindow(w);
+    EXPECT_TRUE(pipeline.saveState(*snapshot));
+  }
+  pipeline.resetState();
+  std::uint64_t allocations = 0;
+  maxLive = 0;
+  for (const EventPacket& w : windows) {
+    (void)pipeline.processWindow(w);
+    const std::uint64_t before = gAllocations.load();
+    (void)pipeline.saveState(*snapshot);
+    allocations += gAllocations.load() - before;
+    maxLive = std::max(maxLive, pipeline.tracker().activeCount());
+  }
+  return allocations;
+}
+
+TEST(AllocationAuditTest, KalmanPipelinesWarmSnapshotSaveAllocatesNothing) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The sink saves a rolling snapshot after every window: for EBBI+KF and
+  // Hybrid that copies every live track's filter, which must fit the
+  // snapshot's warm capacity without allocating.
+  for (RecordingSpec spec : {makeSyntheticEng(), makeSyntheticLt4()}) {
+    spec.durationS = 10.0;
+    const Recording recording = openRecording(spec);
+    std::vector<EventPacket> windows;
+    for (int i = 0; i < 150; ++i) {
+      windows.push_back(
+          recording.source->nextWindow(kDefaultFramePeriodUs));
+    }
+    int maxLive = 0;
+    EXPECT_EQ(warmSnapshotSaveAllocations<KalmanPipeline>(windows, maxLive),
+              0U)
+        << spec.name << " EBBI+KF";
+    EXPECT_GE(maxLive, 2) << spec.name << " EBBI+KF";
+    EXPECT_EQ(warmSnapshotSaveAllocations<HybridPipeline>(windows, maxLive),
+              0U)
+        << spec.name << " Hybrid";
+    EXPECT_GE(maxLive, 2) << spec.name << " Hybrid";
+  }
 }
 
 TEST(AllocationAuditTest, NnFilterFilterIntoAllocatesNothing) {

@@ -240,6 +240,24 @@ class ConverterCase(unittest.TestCase):
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("BM_MedianFilterPortable", result.stderr)
 
+    def test_kalman_filter_bench_alloc_gated_without_ops(self):
+        # The filter step alone has no closed-form ops (the trackers'
+        # metered ops model Eq. (7), not the filter): gated for
+        # allocations, absent from the ops baseline.
+        self.assertIn("BM_KalmanFilterStep", STEADY)
+        self.assertNotIn("BM_KalmanFilterStep", PINNED)
+        del self.bench("BM_KalmanFilterStep")["ops_frame"]
+        baseline = self.write_baseline()
+        self.assertNotIn("BM_KalmanFilterStep",
+                         json.loads(baseline.read_text())["ops_per_frame"])
+        result, _ = self.run_tool(
+            "--fail-on-steady-allocs", f"--fail-on-ops-regression={baseline}")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.bench("BM_KalmanFilterStep")["allocs_frame"] = 0.02
+        result, _ = self.run_tool("--fail-on-steady-allocs")
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("BM_KalmanFilterStep", result.stderr)
+
     def test_stream_build_bench_gated_for_allocs_and_ops(self):
         # The EBBI build over raw stream windows (the node path) is gated
         # like the build over latched packets: allocation-free, and its

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/trackers/hybrid_tracker.hpp"
 
 namespace ebbiot {
 namespace {
@@ -78,12 +84,12 @@ TEST(ConstantVelocityKalmanTest, NoisyMeasurementsSmoothed) {
 
 TEST(ConstantVelocityKalmanTest, CovarianceShrinksWithUpdates) {
   ConstantVelocityKalman kf(Vec2f{0, 0}, KalmanConfig{});
-  const double before = kf.covariance()(2, 2);  // velocity variance
+  const double before = kf.covariance(0).d;  // velocity variance
   for (int f = 1; f <= 10; ++f) {
     kf.predict();
     kf.update(Vec2f{1.0F * static_cast<float>(f), 0.0F});
   }
-  EXPECT_LT(kf.covariance()(2, 2), before);
+  EXPECT_LT(kf.covariance(0).d, before);
 }
 
 TEST(ConstantVelocityKalmanTest, InnovationReported) {
@@ -91,6 +97,234 @@ TEST(ConstantVelocityKalmanTest, InnovationReported) {
   kf.predict();
   kf.update(Vec2f{3, 4});
   EXPECT_NEAR(kf.lastInnovation(), 5.0, 1e-3);
+}
+
+/// One step of the pinned sequence: predict, then update when measured.
+struct Step {
+  bool measured;
+  Vec2f z;
+};
+
+constexpr Step kSteps[] = {
+    {true, {13.1F, 40.6F}}, {true, {16.4F, 39.2F}}, {false, {}},
+    {true, {22.9F, 36.1F}}, {false, {}},            {false, {}},
+    {true, {32.8F, 31.7F}}, {true, {35.2F, 30.3F}},
+};
+
+/// The filter after one step of kSteps, as the 4x4 matrix recursion
+/// (with a Gauss-Jordan inverse of S) computed it.
+struct Expected {
+  Vec2f position;
+  Vec2f velocity;
+  ConstantVelocityKalman::Covariance x;
+  ConstantVelocityKalman::Covariance y;
+  double innovation;
+};
+
+// Recorded from the matrix form, started at (10, 42).  Note b != c: the
+// covariance is not symmetrised.
+const Expected kDefaultConfigSteps[] = {
+    {{0x1.974424p+3F, 0x1.4625bap+5F},
+     {0x1.305014p+1F, -0x1.12dd0cp+0F},
+     {0x1.c267f099fc268p+1, 0x1.88a9622a588a9p+1, 0x1.88a9622a588bp+1,
+      0x1.9c64171905c64p+2},
+     {0x1.c267f099fc268p+1, 0x1.88a9622a588a9p+1, 0x1.88a9622a588bp+1,
+      0x1.9c64171905c64p+2},
+     0x1.b36368e7fe679p+1},
+    {{0x1.025346p+4F, 0x1.3a60c8p+5F},
+     {0x1.81e624p+1F, -0x1.512d64p+0F},
+     {0x1.9b599b1d1088p+1, 0x1.f7d14508045a1p+0, 0x1.f7d14508045a8p+0,
+      0x1.424cc3b803376p+1},
+     {0x1.9b599b1d1088p+1, 0x1.f7d14508045a1p+0, 0x1.f7d14508045a8p+0,
+      0x1.424cc3b803376p+1},
+     0x1.63016fedf0afcp+0},
+    {{0x1.32900ap+4F, 0x1.2fd75cp+5F},
+     {0x1.81e624p+1F, -0x1.512d64p+0F},
+     {0x1.3d5de8f746066p+3, 0x1.3f1ab31e02b23p+2, 0x1.3f1ab31e02b25p+2,
+      0x1.c24cc3b803376p+1},
+     {0x1.3d5de8f746066p+3, 0x1.3f1ab31e02b23p+2, 0x1.3f1ab31e02b25p+2,
+      0x1.c24cc3b803376p+1},
+     0x1.63016fedf0afcp+0},
+    {{0x1.6cb8ecp+4F, 0x1.217392p+5F},
+     {0x1.a01c28p+1F, -0x1.801a7p+0F},
+     {0x1.b5f3ae60b5422p+1, 0x1.4d5d15b0d2875p+0, 0x1.4d5d15b0d2878p+0,
+      0x1.963356aed2a48p+0},
+     {0x1.b5f3ae60b5422p+1, 0x1.4d5d15b0d2875p+0, 0x1.4d5d15b0d2878p+0,
+      0x1.963356aed2a48p+0},
+     0x1.d5ff7146e2aabp-1},
+    {{0x1.a0bc7p+4F, 0x1.1572bep+5F},
+     {0x1.a01c28p+1F, -0x1.801a7p+0F},
+     {0x1.f73537b4788dep+2, 0x1.b1c8362fd295ep+1, 0x1.b1c8362fd296p+1,
+      0x1.4b19ab5769524p+1},
+     {0x1.f73537b4788dep+2, 0x1.b1c8362fd295ep+1, 0x1.b1c8362fd296p+1,
+      0x1.4b19ab5769524p+1},
+     0x1.d5ff7146e2aabp-1},
+    {{0x1.d4bff6p+4F, 0x1.0971ecp+5F},
+     {0x1.a01c28p+1F, -0x1.801a7p+0F},
+     {0x1.17a290e3fff34p+4, 0x1.9e70f0c39df41p+2, 0x1.9e70f0c39df42p+2,
+      0x1.cb19ab5769524p+1},
+     {0x1.17a290e3fff34p+4, 0x1.9e70f0c39df41p+2, 0x1.9e70f0c39df42p+2,
+      0x1.cb19ab5769524p+1},
+     0x1.d5ff7146e2aabp-1},
+    {{0x1.063064p+5F, 0x1.fb2abcp+4F},
+     {0x1.a905fap+1F, -0x1.7eb4ap+0F},
+     {0x1.ca7a9153b05acp+1, 0x1.1aa7c256600cfp+0, 0x1.1aa7c256600c8p+0,
+      0x1.abd2ce6159c2cp+0},
+     {0x1.ca7a9153b05acp+1, 0x1.1aa7c256600cfp+0, 0x1.1aa7c256600c8p+0,
+      0x1.abd2ce6159c2cp+0},
+     0x1.031f5a5a0809dp-2},
+    {{0x1.1c0b0ap+5F, 0x1.e44514p+4F},
+     {0x1.890404p+1F, -0x1.77c294p+0F},
+     {0x1.51204799af151p+1, 0x1.1e62078c131cp+0, 0x1.1e62078c131bep+0,
+      0x1.c1534e0d26e38p+0},
+     {0x1.51204799af151p+1, 0x1.1e62078c131cp+0, 0x1.1e62078c131bep+0,
+      0x1.c1534e0d26e38p+0},
+     0x1.cc7a21f4775b6p-1},
+};
+
+// KalmanConfig{processNoise 0.3, measurementNoise 1.5,
+// initialVelocitySigma 8}.
+const Expected kOtherConfigSteps[] = {
+    {{0x1.9ff1f8p+3F, 0x1.452aep+5F},
+     {0x1.733204p+1F, -0x1.4f4608p+0F},
+     {0x1.168ced0de7ec7p+1, 0x1.0d6a7cdf9d729p+1, 0x1.0d6a7cdf9d72p+1,
+      0x1.128694646be28p+2},
+     {0x1.168ced0de7ec7p+1, 0x1.0d6a7cdf9d729p+1, 0x1.0d6a7cdf9d72p+1,
+      0x1.128694646be28p+2},
+     0x1.b36368e7fe679p+1},
+    {{0x1.0502b4p+4F, 0x1.39c9e8p+5F},
+     {0x1.93868p+1F, -0x1.60d5acp+0F},
+     {0x1.dc4f49c1365f8p+0, 0x1.21f4b5062cd7ap+0, 0x1.21f4b5062cd78p+0,
+      0x1.4b8bee6172f74p+0},
+     {0x1.dc4f49c1365f8p+0, 0x1.21f4b5062cd7ap+0, 0x1.21f4b5062cd78p+0,
+      0x1.4b8bee6172f74p+0},
+     0x1.0a338be9b514fp-1},
+    {{0x1.377384p+4F, 0x1.2ec33ap+5F},
+     {0x1.93868p+1F, -0x1.60d5acp+0F},
+     {0x1.5fbdf5588d8e5p+2, 0x1.49f384e7031aap+1, 0x1.49f384e7031a9p+1,
+      0x1.9858bb2e3fc41p+0},
+     {0x1.5fbdf5588d8e5p+2, 0x1.49f384e7031aap+1, 0x1.49f384e7031a9p+1,
+      0x1.9858bb2e3fc41p+0},
+     0x1.0a338be9b514fp-1},
+    {{0x1.6db432p+4F, 0x1.2140ep+5F},
+     {0x1.9e3976p+1F, -0x1.7cb638p+0F},
+     {0x1.e70f4426e7d54p+0, 0x1.55c19435b9941p-1, 0x1.55c19435b9944p-1,
+      0x1.39b053a01e266p-1},
+     {0x1.e70f4426e7d54p+0, 0x1.55c19435b9941p-1, 0x1.55c19435b9944p-1,
+      0x1.39b053a01e266p-1},
+     0x1.d9d73999c5d73p-2},
+    {{0x1.a17b62p+4F, 0x1.155b2ep+5F},
+     {0x1.9e3976p+1F, -0x1.7cb638p+0F},
+     {0x1.f66e1aaff1d7fp+1, 0x1.6e1f5a515243ap+0, 0x1.6e1f5a515243bp+0,
+      0x1.d349ed39b7cp-1},
+     {0x1.f66e1aaff1d7fp+1, 0x1.6e1f5a515243ap+0, 0x1.6e1f5a515243bp+0,
+      0x1.d349ed39b7cp-1},
+     0x1.d9d73999c5d73p-2},
+    {{0x1.d5429p+4F, 0x1.09757cp+5F},
+     {0x1.9e3976p+1F, -0x1.7cb638p+0F},
+     {0x1.f17cc4f4a5d29p+2, 0x1.3f155baa4a45p+1, 0x1.3f155baa4a451p+1,
+      0x1.3671c369a8acdp+0},
+     {0x1.f17cc4f4a5d29p+2, 0x1.3f155baa4a45p+1, 0x1.3f155baa4a451p+1,
+      0x1.3671c369a8acdp+0},
+     0x1.d9d73999c5d73p-2},
+    {{0x1.0623eap+5F, 0x1.fb307ep+4F},
+     {0x1.a55834p+1F, -0x1.7c6bf4p+0F},
+     {0x1.f079635243844p+0, 0x1.108b747fc7905p-1, 0x1.108b747fc7908p-1,
+      0x1.33777801bf208p-1},
+     {0x1.f079635243844p+0, 0x1.108b747fc7905p-1, 0x1.108b747fc7908p-1,
+      0x1.33777801bf208p-1},
+     0x1.e1a02d0d09cd4p-3},
+    {{0x1.1c3562p+5F, 0x1.e44612p+4F},
+     {0x1.8d8c72p+1F, -0x1.779eeep+0F},
+     {0x1.656e8e6cdc88ep+0, 0x1.f27727de1877dp-2, 0x1.f27727de1878p-2,
+      0x1.3ef78903e79e8p-1},
+     {0x1.656e8e6cdc88ep+0, 0x1.f27727de1877dp-2, 0x1.f27727de1878p-2,
+      0x1.3ef78903e79e8p-1},
+     0x1.ba308be90f849p-1},
+};
+
+/// Exact equality, sign of zero included; floats widen exactly.
+::testing::AssertionResult sameBits(double actual, double expected) {
+  if (std::bit_cast<std::uint64_t>(actual) ==
+      std::bit_cast<std::uint64_t>(expected)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::hexfloat << actual << " != " << expected;
+}
+
+void expectPinnedSequence(const KalmanConfig& config,
+                          const Expected (&expected)[std::size(kSteps)]) {
+  ConstantVelocityKalman kf(Vec2f{10.0F, 42.0F}, config);
+  for (std::size_t i = 0; i < std::size(kSteps); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    kf.predict();
+    if (kSteps[i].measured) {
+      kf.update(kSteps[i].z);
+    }
+    const Expected& e = expected[i];
+    EXPECT_TRUE(sameBits(kf.position().x, e.position.x));
+    EXPECT_TRUE(sameBits(kf.position().y, e.position.y));
+    EXPECT_TRUE(sameBits(kf.velocity().x, e.velocity.x));
+    EXPECT_TRUE(sameBits(kf.velocity().y, e.velocity.y));
+    for (int axis = 0; axis < 2; ++axis) {
+      const ConstantVelocityKalman::Covariance& got = kf.covariance(axis);
+      const ConstantVelocityKalman::Covariance& want = axis == 0 ? e.x : e.y;
+      EXPECT_TRUE(sameBits(got.a, want.a)) << "axis " << axis;
+      EXPECT_TRUE(sameBits(got.b, want.b)) << "axis " << axis;
+      EXPECT_TRUE(sameBits(got.c, want.c)) << "axis " << axis;
+      EXPECT_TRUE(sameBits(got.d, want.d)) << "axis " << axis;
+    }
+    EXPECT_TRUE(sameBits(kf.lastInnovation(), e.innovation));
+  }
+}
+
+TEST(ConstantVelocityKalmanTest, MatchesMatrixRecursionBitForBit) {
+  expectPinnedSequence(KalmanConfig{}, kDefaultConfigSteps);
+  expectPinnedSequence(KalmanConfig{0.3, 1.5, 8.0}, kOtherConfigSteps);
+}
+
+TEST(ConstantVelocityKalmanTest, SingularUpdateThrowsAndLeavesStateUnchanged) {
+  // All-zero noise keeps P at zero, so each axis' pivot a + r is zero; a
+  // 1e-7 px measurement sigma makes it 2e-14, still below 1e-12.
+  for (const double sigma : {0.0, 1e-7}) {
+    ConstantVelocityKalman kf(Vec2f{10, 20}, KalmanConfig{0.0, sigma, 0.0});
+    kf.predict();
+    EXPECT_THROW(kf.update(Vec2f{12, 21}), LogicError) << sigma;
+    EXPECT_EQ(kf.position(), (Vec2f{10, 20}));
+    EXPECT_EQ(kf.velocity(), (Vec2f{0, 0}));
+    EXPECT_EQ(kf.covariance(1).a, sigma * sigma);
+    EXPECT_EQ(kf.lastInnovation(), 0.0);
+  }
+}
+
+/// Both filter-backed trackers validate their KalmanConfig at
+/// construction: each field at -1, NaN and +inf is a ConfigError.  An
+/// all-zero config is valid but leaves S singular, so the first update
+/// throws LogicError.
+template <typename Tracker>
+void expectFilterConfigChecked(const typename Tracker::Config& base) {
+  for (double KalmanConfig::*field :
+       {&KalmanConfig::processNoise, &KalmanConfig::measurementNoise,
+        &KalmanConfig::initialVelocitySigma}) {
+    for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      typename Tracker::Config config = base;
+      config.filter.*field = bad;
+      EXPECT_THROW(Tracker{config}, ConfigError) << bad;
+    }
+  }
+  typename Tracker::Config zero = base;
+  zero.filter = KalmanConfig{0.0, 0.0, 0.0};
+  Tracker tracker(zero);
+  (void)tracker.update(props({BBox{50, 50, 30, 20}}));  // seeds
+  EXPECT_THROW((void)tracker.update(props({BBox{52, 50, 30, 20}})),
+               LogicError);
+}
+
+TEST(KalmanConfigTest, TrackersCheckTheirFilterConfig) {
+  expectFilterConfigChecked<KalmanTracker>(testConfig());
+  expectFilterConfigChecked<HybridTracker>(HybridTrackerConfig{});
 }
 
 TEST(KalmanTrackerTest, SeedsAndReports) {

@@ -1,14 +1,16 @@
 // PipelineSink gap-aware tracking recovery: coast-through-gap, blind
-// idle coasting, snapshot-restore/reset resync, the per-outage coast
-// budget — each pinned bit-identically against a bare Pipeline twin fed
-// the equivalent window sequence — plus the drain-latency tail pin
-// (a stalled drain must show p99 > p50, not a flat frame-period line).
+// idle coasting, snapshot-restore resync and its reset fallback, the
+// per-outage coast budget — each pinned bit-identically against a bare
+// Pipeline twin fed the equivalent window sequence — plus the
+// drain-latency tail pin (a stalled drain must show p99 > p50, not a
+// flat frame-period line).
 #include "src/node/pipeline_sink.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
@@ -150,7 +152,6 @@ TEST(PipelineSinkTest, IdleCoastKeepsPredictingThenRestoreRollsBack) {
   const std::vector<EventPacket> windows = makeWindows(20);
   PipelineSinkConfig config;
   config.maxCoastWindows = 8;
-  config.resync = ResyncPolicy::kRestoreSnapshot;
   PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
   // The twin never sees the outage at all.
   PipelineSink twin(makeSmallEbbiot(), kWidth, kHeight, config);
@@ -191,7 +192,6 @@ TEST(PipelineSinkTest, UnbridgeableGapRestoresLastObservedState) {
   const std::vector<EventPacket> windows = makeWindows(30);
   PipelineSinkConfig config;
   config.maxCoastWindows = 4;
-  config.resync = ResyncPolicy::kRestoreSnapshot;
   PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
   EbbiotPipeline bare(smallConfig());
 
@@ -213,17 +213,38 @@ TEST(PipelineSinkTest, UnbridgeableGapRestoresLastObservedState) {
   EXPECT_EQ(sink.counters().windowsCoasted, 0U);
 }
 
-TEST(PipelineSinkTest, ResetPolicyStartsCleanOnResync) {
+/// The small EBBIOT pipeline without snapshot support: makeSnapshot()
+/// keeps the interface's nullptr, so every resync falls back to a reset.
+class NoSnapshotEbbiot final : public Pipeline {
+ public:
+  Tracks processWindow(const EventPacket& packet) override {
+    return inner_.processWindow(packet);
+  }
+  [[nodiscard]] OpCounts lastOps() const override { return inner_.lastOps(); }
+  [[nodiscard]] const std::string& name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] InputDomain inputDomain() const override {
+    return inner_.inputDomain();
+  }
+  void resetState() override { inner_.resetState(); }
+
+ private:
+  EbbiotPipeline inner_{smallConfig()};
+};
+
+TEST(PipelineSinkTest, ResetFallbackStartsCleanOnResync) {
   const std::vector<EventPacket> windows = makeWindows(30);
   PipelineSinkConfig config;
   config.maxCoastWindows = 4;
-  config.resync = ResyncPolicy::kReset;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink sink(std::make_unique<NoSnapshotEbbiot>(), kWidth, kHeight,
+                    config);
 
   for (std::size_t i = 0; i < 10; ++i) {
     sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
                   windows[i].tEnd());
   }
+  ASSERT_FALSE(sink.lastTracks().empty());  // the reset has state to drop
   // A fresh pipeline sees only the post-gap stream.
   EbbiotPipeline fresh(smallConfig());
   Tracks expected;
@@ -240,7 +261,6 @@ TEST(PipelineSinkTest, ResetPolicyStartsCleanOnResync) {
 TEST(PipelineSinkTest, BackwardSeqIsARebasedStreamResync) {
   const std::vector<EventPacket> windows = makeWindows(20);
   PipelineSinkConfig config;
-  config.resync = ResyncPolicy::kRestoreSnapshot;
   PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
 
   // Stream runs at seq 100..109, then the sensor reboots into a fresh

@@ -47,10 +47,10 @@ import sys
 # and whole-pipeline benchmarks return Tracks by value (or keep deque
 # histories) and are excluded.  BM_FrameParserEng (the node's EBF1 codec),
 # its parts BM_Crc32Eng and BM_DecodeEventsEng, BM_LatchEng (the pixel
-# latch) and BM_MedianFilterPortable (the median's portable kernel, run
-# directly) are gated here but report no ops_frame: none has a
-# closed-form ops model of its own, so all are absent from
-# OPS_PINNED_BENCHES.
+# latch), BM_MedianFilterPortable (the median's portable kernel, run
+# directly) and BM_KalmanFilterStep (one Kalman predict + update) are
+# gated here but report no ops_frame: none has a closed-form ops model of
+# its own, so all are absent from OPS_PINNED_BENCHES.
 STEADY_STATE_BENCHES = frozenset(
     {
         "BM_EbbiBuild",
@@ -73,6 +73,7 @@ STEADY_STATE_BENCHES = frozenset(
         "BM_EbmsTracker",
         "BM_EbmsTrackerCrowded",
         "BM_EbmsTrackerEng",
+        "BM_KalmanFilterStep",
     }
 )
 
