@@ -64,8 +64,9 @@ void ConstantVelocityKalman::update(Vec2f measuredPosition) {
     const double k0 = o.a * inv;
     const double k1 = o.c * inv;
     // Products round before they are summed, as in the dense 4x4
-    // products; as separate statements they stay unfused under
-    // FP_CONTRACT.
+    // products.  That holds on targets without FMA (the default
+    // x86-64 build): with FMA enabled, GCC's default -ffp-contract=fast
+    // fuses them even across statements.
     const double dp = k0 * e[i];
     const double dv = k1 * e[i];
     const double dc = k1 * o.a;

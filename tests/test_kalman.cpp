@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
@@ -253,9 +258,208 @@ const Expected kOtherConfigSteps[] = {
          << std::hexfloat << actual << " != " << expected;
 }
 
+/// The nearest point of the 1/64 px grid.  Grid coordinates are exact
+/// in float, so test inputs built from them take no rounding step whose
+/// precision the compiler may choose.
+float gridPx(double px) {
+  return static_cast<float>(std::llround(px * 64.0)) * 0x1p-6F;
+}
+
+/// The dense 4x4 recursion the per-axis filter replaced, kept as the
+/// reference of the property tests below: state [xc, yc, vx, vy],
+/// row-major products that sum a(r, k) * b(k, c) over k in order and skip
+/// a zero a(r, k), and S inverted by Gauss-Jordan with partial pivoting,
+/// a LogicError on a pivot below 1e-12.  It reproduces the recorded
+/// tables above bit for bit.
+class DenseKalman {
+ public:
+  template <std::size_t R, std::size_t C>
+  using Mat = std::array<double, R * C>;
+
+  DenseKalman(Vec2f position, const KalmanConfig& config) {
+    const double r = config.measurementNoise * config.measurementNoise;
+    const double v =
+        config.initialVelocitySigma * config.initialVelocitySigma;
+    const double q = config.processNoise;
+    x_ = {position.x, position.y, 0.0, 0.0};
+    p_ = {r, 0, 0, 0, 0, r, 0, 0, 0, 0, v, 0, 0, 0, 0, v};
+    q_ = {q / 4.0, 0, q / 2.0, 0, 0, q / 4.0, 0, q / 2.0,
+          q / 2.0, 0, q,       0, 0, q / 2.0, 0, q};
+    r_ = {r, 0, 0, r};
+  }
+
+  void predict() {
+    x_ = mul<4, 4, 1>(kF, x_);
+    p_ = add(mul<4, 4, 4>(mul<4, 4, 4>(kF, p_), kFt), q_);
+  }
+
+  void update(Vec2f measured) {
+    const Mat<2, 1> hx = mul<2, 4, 1>(kH, x_);
+    const Mat<2, 1> innovation{static_cast<double>(measured.x) - hx[0],
+                               static_cast<double>(measured.y) - hx[1]};
+    const Mat<2, 2> s = add(mul<2, 4, 2>(mul<2, 4, 4>(kH, p_), kHt), r_);
+    const Mat<4, 2> k = mul<4, 2, 2>(mul<4, 4, 2>(p_, kHt), inverted(s));
+    x_ = add(x_, mul<4, 2, 1>(k, innovation));
+    p_ = mul<4, 4, 4>(sub(kI, mul<4, 2, 4>(k, kH)), p_);
+    lastInnovation_ = std::hypot(innovation[0], innovation[1]);
+  }
+
+  [[nodiscard]] Vec2f position() const {
+    return {static_cast<float>(x_[0]), static_cast<float>(x_[1])};
+  }
+  [[nodiscard]] Vec2f velocity() const {
+    return {static_cast<float>(x_[2]), static_cast<float>(x_[3])};
+  }
+  [[nodiscard]] double lastInnovation() const { return lastInnovation_; }
+
+  /// Axis 0 (x) or 1 (y): rows and columns {axis, axis + 2} of P.
+  [[nodiscard]] ConstantVelocityKalman::Covariance covariance(int axis) const {
+    const auto p = static_cast<std::size_t>(axis);
+    const std::size_t v = p + 2;
+    return {p_[p * 4 + p], p_[p * 4 + v], p_[v * 4 + p], p_[v * 4 + v]};
+  }
+
+  /// True while every covariance entry coupling x and y is exactly zero.
+  [[nodiscard]] bool axesUncoupled() const {
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        if (r % 2 != c % 2 && p_[r * 4 + c] != 0.0) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+ private:
+  template <std::size_t R, std::size_t K, std::size_t C>
+  static Mat<R, C> mul(const Mat<R, K>& a, const Mat<K, C>& b) {
+    Mat<R, C> out{};
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t k = 0; k < K; ++k) {
+        const double f = a[r * K + k];
+        if (f == 0.0) {
+          continue;
+        }
+        for (std::size_t c = 0; c < C; ++c) {
+          out[r * C + c] += f * b[k * C + c];
+        }
+      }
+    }
+    return out;
+  }
+
+  template <std::size_t N>
+  static std::array<double, N> add(const std::array<double, N>& a,
+                                   const std::array<double, N>& b) {
+    std::array<double, N> out{};
+    for (std::size_t i = 0; i < N; ++i) {
+      out[i] = a[i] + b[i];
+    }
+    return out;
+  }
+
+  template <std::size_t N>
+  static std::array<double, N> sub(const std::array<double, N>& a,
+                                   const std::array<double, N>& b) {
+    std::array<double, N> out{};
+    for (std::size_t i = 0; i < N; ++i) {
+      out[i] = a[i] - b[i];
+    }
+    return out;
+  }
+
+  static Mat<2, 2> inverted(Mat<2, 2> a) {
+    constexpr std::size_t n = 2;
+    Mat<2, 2> inv{1.0, 0.0, 0.0, 1.0};
+    for (std::size_t col = 0; col < n; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t r = col + 1; r < n; ++r) {
+        if (std::abs(a[r * n + col]) > std::abs(a[pivot * n + col])) {
+          pivot = r;
+        }
+      }
+      if (std::abs(a[pivot * n + col]) < 1e-12) {
+        throw LogicError("DenseKalman: singular S");
+      }
+      if (pivot != col) {
+        for (std::size_t c = 0; c < n; ++c) {
+          std::swap(a[pivot * n + c], a[col * n + c]);
+          std::swap(inv[pivot * n + c], inv[col * n + c]);
+        }
+      }
+      const double d = a[col * n + col];
+      for (std::size_t c = 0; c < n; ++c) {
+        a[col * n + c] /= d;
+        inv[col * n + c] /= d;
+      }
+      for (std::size_t r = 0; r < n; ++r) {
+        const double f = a[r * n + col];
+        if (r == col || f == 0.0) {
+          continue;
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+          a[r * n + c] -= f * a[col * n + c];
+          inv[r * n + c] -= f * inv[col * n + c];
+        }
+      }
+    }
+    return inv;
+  }
+
+  static constexpr Mat<4, 4> kF{1, 0, 1, 0, 0, 1, 0, 1,
+                                0, 0, 1, 0, 0, 0, 0, 1};
+  static constexpr Mat<4, 4> kFt{1, 0, 0, 0, 0, 1, 0, 0,
+                                 1, 0, 1, 0, 0, 1, 0, 1};
+  static constexpr Mat<2, 4> kH{1, 0, 0, 0, 0, 1, 0, 0};
+  static constexpr Mat<4, 2> kHt{1, 0, 0, 1, 0, 0, 0, 0};
+  static constexpr Mat<4, 4> kI{1, 0, 0, 0, 0, 1, 0, 0,
+                                0, 0, 1, 0, 0, 0, 0, 1};
+
+  Mat<4, 1> x_{};
+  Mat<4, 4> p_{};
+  Mat<4, 4> q_{};
+  Mat<2, 2> r_{};
+  double lastInnovation_ = 0.0;
+};
+
+bool sameCovariance(const ConstantVelocityKalman::Covariance& a,
+                    const ConstantVelocityKalman::Covariance& b) {
+  return sameBits(a.a, b.a) && sameBits(a.b, b.b) && sameBits(a.c, b.c) &&
+         sameBits(a.d, b.d);
+}
+
+/// Position, velocity, both covariance blocks and the innovation agree
+/// to the bit.
+template <typename A, typename B>
+::testing::AssertionResult sameState(const A& a, const B& b) {
+  const auto differs = [](const char* what) {
+    return ::testing::AssertionFailure() << what << " differs";
+  };
+  if (!sameBits(a.position().x, b.position().x) ||
+      !sameBits(a.position().y, b.position().y)) {
+    return differs("position");
+  }
+  if (!sameBits(a.velocity().x, b.velocity().x) ||
+      !sameBits(a.velocity().y, b.velocity().y)) {
+    return differs("velocity");
+  }
+  if (!sameCovariance(a.covariance(0), b.covariance(0))) {
+    return differs("x covariance");
+  }
+  if (!sameCovariance(a.covariance(1), b.covariance(1))) {
+    return differs("y covariance");
+  }
+  if (!sameBits(a.lastInnovation(), b.lastInnovation())) {
+    return differs("innovation");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename Filter>
 void expectPinnedSequence(const KalmanConfig& config,
                           const Expected (&expected)[std::size(kSteps)]) {
-  ConstantVelocityKalman kf(Vec2f{10.0F, 42.0F}, config);
+  Filter kf(Vec2f{10.0F, 42.0F}, config);
   for (std::size_t i = 0; i < std::size(kSteps); ++i) {
     SCOPED_TRACE("step " + std::to_string(i));
     kf.predict();
@@ -280,8 +484,145 @@ void expectPinnedSequence(const KalmanConfig& config,
 }
 
 TEST(ConstantVelocityKalmanTest, MatchesMatrixRecursionBitForBit) {
-  expectPinnedSequence(KalmanConfig{}, kDefaultConfigSteps);
-  expectPinnedSequence(KalmanConfig{0.3, 1.5, 8.0}, kOtherConfigSteps);
+  expectPinnedSequence<ConstantVelocityKalman>(KalmanConfig{},
+                                               kDefaultConfigSteps);
+  expectPinnedSequence<ConstantVelocityKalman>(KalmanConfig{0.3, 1.5, 8.0},
+                                               kOtherConfigSteps);
+}
+
+TEST(DenseKalmanReferenceTest, ReproducesRecordedMatrixForm) {
+  expectPinnedSequence<DenseKalman>(KalmanConfig{}, kDefaultConfigSteps);
+  expectPinnedSequence<DenseKalman>(KalmanConfig{0.3, 1.5, 8.0},
+                                    kOtherConfigSteps);
+}
+
+// Property: over random configurations, starts and predict/update mixes
+// the per-axis filter equals the dense recursion bit for bit, and the
+// dense form's cross-axis covariances stay exactly zero (the premise of
+// the per-axis split).
+class KalmanDenseReferenceProperty : public ::testing::TestWithParam<int> {
+};
+
+TEST_P(KalmanDenseReferenceProperty, MatchesDenseRecursionBitForBit) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  for (int sequence = 0; sequence < 25; ++sequence) {
+    const KalmanConfig config{
+        rng.chance(0.2) ? 0.0 : rng.uniform(0.0, 4.0),
+        rng.uniform(0.25, 6.0),
+        rng.chance(0.2) ? 0.0 : rng.uniform(0.0, 20.0)};
+    double x = rng.uniform(0.0, 240.0);
+    double y = rng.uniform(0.0, 180.0);
+    const double vx = rng.uniform(-4.0, 4.0);
+    const double vy = rng.uniform(-3.0, 3.0);
+    const double measuredShare = rng.uniform(0.2, 1.0);
+    const Vec2f start{gridPx(x), gridPx(y)};
+    ConstantVelocityKalman kf(start, config);
+    DenseKalman dense(start, config);
+    for (int step = 0; step < 400; ++step) {
+      kf.predict();
+      dense.predict();
+      x += vx;
+      y += vy;
+      if (rng.chance(measuredShare)) {
+        const double nx = rng.normal(0.0, config.measurementNoise);
+        const double ny = rng.normal(0.0, config.measurementNoise);
+        const Vec2f z{gridPx(x + nx), gridPx(y + ny)};
+        kf.update(z);
+        dense.update(z);
+      }
+      ASSERT_TRUE(sameState(kf, dense))
+          << "sequence " << sequence << " step " << step;
+      ASSERT_TRUE(dense.axesUncoupled())
+          << "sequence " << sequence << " step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KalmanDenseReferenceProperty,
+                         ::testing::Range(1, 9));
+
+TEST(ConstantVelocityKalmanTest, InitialCovarianceFromConfig) {
+  const ConstantVelocityKalman kf(Vec2f{10, 20}, KalmanConfig{0.5, 2.0, 5.0});
+  for (int axis = 0; axis < 2; ++axis) {
+    EXPECT_TRUE(sameCovariance(kf.covariance(axis), {4.0, 0.0, 0.0, 25.0}))
+        << "axis " << axis;
+  }
+  EXPECT_EQ(kf.velocity(), (Vec2f{0, 0}));
+  EXPECT_EQ(kf.lastInnovation(), 0.0);
+}
+
+TEST(ConstantVelocityKalmanTest, AxesEvolveIndependently) {
+  // The same y measurements under different x measurements leave the y
+  // state bit-identical.
+  Rng rng(5);
+  ConstantVelocityKalman a(Vec2f{10, 20}, KalmanConfig{});
+  ConstantVelocityKalman b(Vec2f{90, 20}, KalmanConfig{});
+  for (int f = 1; f <= 50; ++f) {
+    a.predict();
+    b.predict();
+    const float y = 20.0F + 1.5F * static_cast<float>(f) +
+                    static_cast<float>(rng.normal(0.0, 2.0));
+    const float xa = 10.0F + 3.0F * static_cast<float>(f) +
+                     static_cast<float>(rng.normal(0.0, 2.0));
+    const float xb = 90.0F - 2.0F * static_cast<float>(f) +
+                     static_cast<float>(rng.normal(0.0, 2.0));
+    a.update(Vec2f{xa, y});
+    b.update(Vec2f{xb, y});
+    EXPECT_TRUE(sameBits(a.position().y, b.position().y)) << "frame " << f;
+    EXPECT_TRUE(sameBits(a.velocity().y, b.velocity().y)) << "frame " << f;
+  }
+  EXPECT_LT(b.velocity().x, 0.0F);
+  EXPECT_GT(a.velocity().x, 0.0F);
+}
+
+TEST(ConstantVelocityKalmanTest, CovarianceIgnoresMeasurementValues) {
+  // P depends only on the config and the predict/update pattern: filters
+  // fed different measurements on the same pattern agree, and both axes
+  // carry the same block.
+  Rng rng(7);
+  const KalmanConfig config{0.3, 1.5, 8.0};
+  ConstantVelocityKalman a(Vec2f{0, 0}, config);
+  ConstantVelocityKalman b(Vec2f{200, 140}, config);
+  for (int f = 1; f <= 60; ++f) {
+    a.predict();
+    b.predict();
+    if (f % 3 != 0) {
+      a.update(Vec2f{static_cast<float>(rng.uniform(0.0, 240.0)),
+                     static_cast<float>(rng.uniform(0.0, 180.0))});
+      b.update(Vec2f{static_cast<float>(rng.uniform(0.0, 240.0)),
+                     static_cast<float>(rng.uniform(0.0, 180.0))});
+    }
+    for (int axis = 0; axis < 2; ++axis) {
+      EXPECT_TRUE(sameCovariance(a.covariance(axis), b.covariance(axis)))
+          << "frame " << f << " axis " << axis;
+    }
+    EXPECT_TRUE(sameCovariance(a.covariance(0), a.covariance(1)))
+        << "frame " << f;
+  }
+}
+
+TEST(ConstantVelocityKalmanTest, CopyEvolvesIndependently) {
+  ConstantVelocityKalman original(Vec2f{5, 5}, KalmanConfig{});
+  for (int f = 1; f <= 5; ++f) {
+    original.predict();
+    original.update(Vec2f{5.0F + 2.0F * static_cast<float>(f),
+                          5.0F + static_cast<float>(f)});
+  }
+  const ConstantVelocityKalman before = original;
+  ConstantVelocityKalman copy = original;
+  copy.predict();
+  copy.update(Vec2f{100, 100});
+  EXPECT_TRUE(sameState(original, before));  // the copy shares nothing
+  EXPECT_FALSE(sameState(copy, before));
+  original.predict();
+  original.update(Vec2f{100, 100});
+  EXPECT_TRUE(sameState(original, copy));
+}
+
+TEST(ConstantVelocityKalmanTest, CovarianceAxisOutOfRangeThrows) {
+  const ConstantVelocityKalman kf(Vec2f{0, 0}, KalmanConfig{});
+  EXPECT_THROW((void)kf.covariance(-1), LogicError);
+  EXPECT_THROW((void)kf.covariance(2), LogicError);
 }
 
 TEST(ConstantVelocityKalmanTest, SingularUpdateThrowsAndLeavesStateUnchanged) {
@@ -325,6 +666,40 @@ void expectFilterConfigChecked(const typename Tracker::Config& base) {
 TEST(KalmanConfigTest, TrackersCheckTheirFilterConfig) {
   expectFilterConfigChecked<KalmanTracker>(testConfig());
   expectFilterConfigChecked<HybridTracker>(HybridTrackerConfig{});
+}
+
+TEST(KalmanConfigTest, ValidateAcceptsZeroAndLargeFiniteValues) {
+  const double big = std::numeric_limits<double>::max();
+  for (const KalmanConfig& config :
+       {KalmanConfig{}, KalmanConfig{0.0, 0.0, 0.0},
+        KalmanConfig{-0.0, -0.0, -0.0}, KalmanConfig{big, big, big}}) {
+    EXPECT_NO_THROW(config.validate()) << config.processNoise;
+  }
+}
+
+TEST(KalmanConfigTest, ValidateNamesTheBadField) {
+  const std::pair<double KalmanConfig::*, std::string> fields[] = {
+      {&KalmanConfig::processNoise, "processNoise"},
+      {&KalmanConfig::measurementNoise, "measurementNoise"},
+      {&KalmanConfig::initialVelocitySigma, "initialVelocitySigma"},
+  };
+  for (const auto& [field, name] : fields) {
+    for (const double bad :
+         {-1.0, -std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()}) {
+      KalmanConfig config;
+      config.*field = bad;
+      try {
+        config.validate();
+        ADD_FAILURE() << name << " = " << bad << " accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(KalmanTrackerTest, SeedsAndReports) {
@@ -450,6 +825,156 @@ TEST_P(KalmanTrackerInvariantProperty, FrameInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KalmanTrackerInvariantProperty,
                          ::testing::Range(1, 9));
+
+/// SplitMix64, so the recorded streams below depend on no library
+/// distribution.
+class StreamRng {
+ public:
+  explicit StreamRng(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform in [lo, hi).
+  double uniform(double lo, double hi) {
+    return lo + static_cast<double>(next() >> 11) * 0x1p-53 * (hi - lo);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// Three boxes crossing a 240 x 180 frame at constant velocity with
+/// +-1.5 px jitter, each missing one frame in six; a box whose centre
+/// leaves the frame respawns elsewhere, and one frame in ten adds a small
+/// spurious proposal.  Tracks seed, update, coast, die and reseed.
+std::vector<RegionProposals> crossingStream(std::uint64_t seed, int frames) {
+  struct Mover {
+    double x, y, vx, vy, w, h;
+  };
+  StreamRng rng(seed);
+  const auto spawn = [&rng] {
+    Mover m{};
+    m.w = rng.uniform(16.0, 40.0);
+    m.h = rng.uniform(10.0, 24.0);
+    m.x = rng.uniform(0.0, 240.0 - m.w);
+    m.y = rng.uniform(0.0, 180.0 - m.h);
+    m.vx = rng.uniform(-3.0, 3.0);
+    m.vy = rng.uniform(-1.5, 1.5);
+    return m;
+  };
+  std::vector<Mover> movers{spawn(), spawn(), spawn()};
+  std::vector<RegionProposals> out(static_cast<std::size_t>(frames));
+  for (RegionProposals& frame : out) {
+    for (Mover& m : movers) {
+      m.x += m.vx;
+      m.y += m.vy;
+      const double cx = m.x + m.w / 2.0;
+      const double cy = m.y + m.h / 2.0;
+      if (cx < 0.0 || cx >= 240.0 || cy < 0.0 || cy >= 180.0) {
+        m = spawn();
+      }
+      if (rng.next() % 6 == 0) {
+        continue;
+      }
+      const double jx = rng.uniform(-1.5, 1.5);
+      const double jy = rng.uniform(-1.5, 1.5);
+      const BBox b{gridPx(m.x + jx), gridPx(m.y + jy), gridPx(m.w),
+                   gridPx(m.h)};
+      frame.push_back(
+          RegionProposal{b, static_cast<std::uint64_t>(b.area())});
+    }
+    if (rng.next() % 10 == 0) {
+      const double x = rng.uniform(0.0, 220.0);
+      const double y = rng.uniform(0.0, 170.0);
+      const double w = rng.uniform(4.0, 12.0);
+      const double h = rng.uniform(4.0, 10.0);
+      frame.push_back(
+          RegionProposal{BBox{gridPx(x), gridPx(y), gridPx(w), gridPx(h)},
+                         8});
+    }
+  }
+  return out;
+}
+
+/// FNV-1a over every reported track's id, box, velocity and counters,
+/// frame by frame, plus the number of reports.
+struct TrackDigest {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  std::size_t reports = 0;
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ ((v >> (8 * i)) & 0xFFU)) * 0x100000001B3ULL;
+    }
+  }
+
+  void add(const Tracks& tracks) {
+    mix(tracks.size());
+    for (const Track& t : tracks) {
+      mix(t.id);
+      for (const float v : {t.box.x, t.box.y, t.box.w, t.box.h,
+                            t.velocity.x, t.velocity.y}) {
+        mix(std::bit_cast<std::uint32_t>(v));
+      }
+      mix(static_cast<std::uint64_t>(t.age) << 32 |
+          static_cast<std::uint32_t>(t.hits));
+      mix(static_cast<std::uint32_t>(t.misses));
+      ++reports;
+    }
+  }
+};
+
+struct Recording {
+  std::uint64_t seed;
+  std::uint64_t hash;
+  std::size_t reports;
+};
+
+/// Runs 600 frames of crossingStream(seed) per recording through a fresh
+/// tracker and compares the digest with one recorded from the dense
+/// 4x4 Matrix filter the trackers ran on before the per-axis form.
+template <typename Tracker>
+void expectRecordedTracks(const typename Tracker::Config& config,
+                          const Recording (&recorded)[3]) {
+  for (const Recording& r : recorded) {
+    Tracker tracker(config);
+    TrackDigest digest;
+    for (const RegionProposals& frame : crossingStream(r.seed, 600)) {
+      digest.add(tracker.update(frame));
+    }
+    EXPECT_EQ(digest.reports, r.reports) << "seed " << r.seed;
+    EXPECT_EQ(digest.hash, r.hash)
+        << "seed " << r.seed << std::hex << ": 0x" << digest.hash;
+  }
+}
+
+TEST(FilterTrackerRecordingTest, KalmanGreedy) {
+  expectRecordedTracks<KalmanTracker>(
+      KalmanTrackerConfig{}, {{1, 0x20F002C4DA6F2AE0ULL, 1799},
+                              {2, 0x9EEBC018B320A5BBULL, 1804},
+                              {3, 0xF8B8CCB6989E7159ULL, 1784}});
+}
+
+TEST(FilterTrackerRecordingTest, KalmanHungarian) {
+  KalmanTrackerConfig config;
+  config.association = AssociationMethod::kHungarian;
+  expectRecordedTracks<KalmanTracker>(
+      config, {{1, 0x20F002C4DA6F2AE0ULL, 1799},
+               {2, 0x9DAF61A55466E933ULL, 1807},
+               {3, 0xBAE9C0194AAFA337ULL, 1790}});
+}
+
+TEST(FilterTrackerRecordingTest, Hybrid) {
+  expectRecordedTracks<HybridTracker>(
+      HybridTrackerConfig{}, {{1, 0x9208BCF88645FA04ULL, 1799},
+                              {2, 0xD0B7A4AA62577037ULL, 1804},
+                              {3, 0x6B397F5FFD7ACD17ULL, 1761}});
+}
 
 }  // namespace
 }  // namespace ebbiot

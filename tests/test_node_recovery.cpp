@@ -1,7 +1,8 @@
 // PipelineSink gap-aware tracking recovery: coast-through-gap, blind
-// idle coasting, snapshot-restore resync and its reset fallback, the
-// per-outage coast budget — each pinned bit-identically against a bare
-// Pipeline twin fed the equivalent window sequence — plus the
+// idle coasting, snapshot-restore resync (for the EBBIOT, EBBI+KF and
+// Hybrid pipelines) and its reset fallback, the per-outage coast budget
+// — each pinned bit-identically against a bare Pipeline twin fed the
+// equivalent window sequence — plus the
 // drain-latency tail pin (a stalled drain must show p99 > p50, not a
 // flat frame-period line).
 #include "src/node/pipeline_sink.hpp"
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
@@ -51,8 +53,13 @@ EbbiotPipelineConfig smallConfig() {
   return config;
 }
 
-std::unique_ptr<Pipeline> makeSmallEbbiot() {
-  return std::make_unique<EbbiotPipeline>(smallConfig());
+/// The small-frame pipeline of type P (EBBIOT, EBBI+KF or Hybrid).
+template <typename P>
+std::unique_ptr<Pipeline> makeSmall() {
+  typename P::Config config;
+  config.width = kWidth;
+  config.height = kHeight;
+  return std::make_unique<P>(config);
 }
 
 /// Bare-pipeline reference step: frame-domain pipelines get the latch
@@ -87,7 +94,7 @@ TEST(PipelineSinkTest, ContiguousStreamMatchesBarePipeline) {
   }
   EXPECT_GT(windowsWithRepeats, 0U);
   {
-    PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, {});
+    PipelineSink sink(makeSmall<EbbiotPipeline>(), kWidth, kHeight, {});
     EbbiotPipeline bare(smallConfig());
     for (std::size_t i = 0; i < windows.size(); ++i) {
       sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
@@ -119,7 +126,7 @@ TEST(PipelineSinkTest, BridgeableGapCoastsTracks) {
   const std::vector<EventPacket> windows = makeWindows(24);
   PipelineSinkConfig config;
   config.maxCoastWindows = 4;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink sink(makeSmall<EbbiotPipeline>(), kWidth, kHeight, config);
   EbbiotPipeline bare(smallConfig());
 
   // Windows 0..9 contiguous, 10..12 lost, then 13 onward.
@@ -148,13 +155,14 @@ TEST(PipelineSinkTest, BridgeableGapCoastsTracks) {
   EXPECT_EQ(sink.counters().resyncResets, 0U);
 }
 
-TEST(PipelineSinkTest, IdleCoastKeepsPredictingThenRestoreRollsBack) {
+template <typename P>
+void expectIdleCoastRollsBack() {
   const std::vector<EventPacket> windows = makeWindows(20);
   PipelineSinkConfig config;
   config.maxCoastWindows = 8;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink sink(makeSmall<P>(), kWidth, kHeight, config);
   // The twin never sees the outage at all.
-  PipelineSink twin(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink twin(makeSmall<P>(), kWidth, kHeight, config);
 
   for (std::size_t i = 0; i < 10; ++i) {
     sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
@@ -188,35 +196,67 @@ TEST(PipelineSinkTest, IdleCoastKeepsPredictingThenRestoreRollsBack) {
   EXPECT_EQ(sink.counters().resyncResets, 0U);
 }
 
-TEST(PipelineSinkTest, UnbridgeableGapRestoresLastObservedState) {
+TEST(PipelineSinkTest, IdleCoastKeepsPredictingThenRestoreRollsBack) {
+  expectIdleCoastRollsBack<EbbiotPipeline>();
+}
+
+// The filter back ends coast on their Kalman prediction; the restore
+// rolls their filters back too.
+TEST(PipelineSinkTest, KalmanIdleCoastThenRestoreRollsBack) {
+  expectIdleCoastRollsBack<KalmanPipeline>();
+}
+
+TEST(PipelineSinkTest, HybridIdleCoastThenRestoreRollsBack) {
+  expectIdleCoastRollsBack<HybridPipeline>();
+}
+
+template <typename P>
+void expectUnbridgeableGapRestores() {
   const std::vector<EventPacket> windows = makeWindows(30);
   PipelineSinkConfig config;
   config.maxCoastWindows = 4;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
-  EbbiotPipeline bare(smallConfig());
+  PipelineSink sink(makeSmall<P>(), kWidth, kHeight, config);
+  std::unique_ptr<Pipeline> bare = makeSmall<P>();
 
   for (std::size_t i = 0; i < 10; ++i) {
     sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
                   windows[i].tEnd());
-    (void)referenceStep(bare, windows[i]);
+    (void)referenceStep(*bare, windows[i]);
   }
-  // 15 windows lost — beyond the coast budget.  kRestoreSnapshot keeps
-  // the last observed state (no coast damage) and continues directly.
+  ASSERT_FALSE(sink.lastTracks().empty());  // the restore has state to keep
+  // 15 windows lost — beyond the coast budget.  The restore keeps the
+  // last observed state (no coast damage) and continues directly.
   Tracks expected;
   for (std::size_t i = 25; i < windows.size(); ++i) {
     sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
                   windows[i].tEnd());
-    expected = referenceStep(bare, windows[i]);
+    expected = referenceStep(*bare, windows[i]);
     EXPECT_TRUE(sink.lastTracks() == expected) << "window " << i;
   }
   EXPECT_EQ(sink.counters().resyncRestores, 1U);
   EXPECT_EQ(sink.counters().windowsCoasted, 0U);
 }
 
-/// The small EBBIOT pipeline without snapshot support: makeSnapshot()
-/// keeps the interface's nullptr, so every resync falls back to a reset.
-class NoSnapshotEbbiot final : public Pipeline {
+TEST(PipelineSinkTest, UnbridgeableGapRestoresLastObservedState) {
+  expectUnbridgeableGapRestores<EbbiotPipeline>();
+}
+
+TEST(PipelineSinkTest, KalmanUnbridgeableGapRestoresLastObservedState) {
+  expectUnbridgeableGapRestores<KalmanPipeline>();
+}
+
+TEST(PipelineSinkTest, HybridUnbridgeableGapRestoresLastObservedState) {
+  expectUnbridgeableGapRestores<HybridPipeline>();
+}
+
+/// The small EBBIOT pipeline with no usable snapshot.  Without `saves`
+/// makeSnapshot() keeps the interface's nullptr; with it, snapshots are
+/// made and saved but every restore is refused.  Either way each resync
+/// falls back to a reset.
+class UnrestorableEbbiot final : public Pipeline {
  public:
+  explicit UnrestorableEbbiot(bool saves) : saves_(saves) {}
+
   Tracks processWindow(const EventPacket& packet) override {
     return inner_.processWindow(packet);
   }
@@ -227,18 +267,29 @@ class NoSnapshotEbbiot final : public Pipeline {
   [[nodiscard]] InputDomain inputDomain() const override {
     return inner_.inputDomain();
   }
+  [[nodiscard]] std::unique_ptr<PipelineSnapshot> makeSnapshot()
+      const override {
+    return saves_ ? inner_.makeSnapshot() : nullptr;
+  }
+  bool saveState(PipelineSnapshot& out) const override {
+    return saves_ && inner_.saveState(out);
+  }
+  bool restoreState(const PipelineSnapshot& snapshot) override {
+    (void)snapshot;
+    return false;
+  }
   void resetState() override { inner_.resetState(); }
 
  private:
+  bool saves_;
   EbbiotPipeline inner_{smallConfig()};
 };
 
-TEST(PipelineSinkTest, ResetFallbackStartsCleanOnResync) {
+void expectResetOnResync(std::unique_ptr<Pipeline> pipeline) {
   const std::vector<EventPacket> windows = makeWindows(30);
   PipelineSinkConfig config;
   config.maxCoastWindows = 4;
-  PipelineSink sink(std::make_unique<NoSnapshotEbbiot>(), kWidth, kHeight,
-                    config);
+  PipelineSink sink(std::move(pipeline), kWidth, kHeight, config);
 
   for (std::size_t i = 0; i < 10; ++i) {
     sink.onWindow(windows[i], static_cast<std::uint32_t>(i),
@@ -258,10 +309,18 @@ TEST(PipelineSinkTest, ResetFallbackStartsCleanOnResync) {
   EXPECT_EQ(sink.counters().resyncRestores, 0U);
 }
 
+TEST(PipelineSinkTest, ResetFallbackStartsCleanOnResync) {
+  expectResetOnResync(std::make_unique<UnrestorableEbbiot>(false));
+}
+
+TEST(PipelineSinkTest, RefusedRestoreFallsBackToReset) {
+  expectResetOnResync(std::make_unique<UnrestorableEbbiot>(true));
+}
+
 TEST(PipelineSinkTest, BackwardSeqIsARebasedStreamResync) {
   const std::vector<EventPacket> windows = makeWindows(20);
   PipelineSinkConfig config;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink sink(makeSmall<EbbiotPipeline>(), kWidth, kHeight, config);
 
   // Stream runs at seq 100..109, then the sensor reboots into a fresh
   // sequence space starting at 3 (watchdog re-adopt downstream of the
@@ -282,7 +341,7 @@ TEST(PipelineSinkTest, IdleCoastBudgetIsPerOutage) {
   const std::vector<EventPacket> windows = makeWindows(8);
   PipelineSinkConfig config;
   config.maxCoastWindows = 2;
-  PipelineSink sink(makeSmallEbbiot(), kWidth, kHeight, config);
+  PipelineSink sink(makeSmall<EbbiotPipeline>(), kWidth, kHeight, config);
 
   // Not primed yet: nothing to coast from.
   EXPECT_FALSE(sink.coastIdle());
