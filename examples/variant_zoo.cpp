@@ -17,16 +17,17 @@ int main() {
   using namespace ebbiot;
 
   // A custom variant rides along with one registration: the paper
-  // pipeline with a 5x5 median patch.
-  if (!variantRegistry().contains("EBBIOT-p5")) {
+  // pipeline with coarser 12 x 6 RPN blocks.
+  if (!variantRegistry().contains("EBBIOT-s12x6")) {
     variantRegistry().add(
-        "EBBIOT-p5", "paper pipeline with a 5x5 median patch",
+        "EBBIOT-s12x6", "paper pipeline with 12x6 RPN blocks",
         [](const VariantContext& ctx) {
           EbbiotPipelineConfig config;
           config.width = ctx.width;
           config.height = ctx.height;
-          config.medianPatch = 5;
-          return std::make_unique<EbbiotPipeline>(config, "EBBIOT-p5");
+          config.rpn.s1 = 12;
+          config.rpn.s2 = 6;
+          return std::make_unique<EbbiotPipeline>(config, "EBBIOT-s12x6");
         });
   }
 

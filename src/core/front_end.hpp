@@ -4,12 +4,12 @@
 //                  (the latch,   (Sec. II-A)      (RPN or CCA)
 //                   Sec. II-A)
 //
-// Both frame-domain pipelines (EBBIOT and EBBI+KF) consume exactly this
-// chain; only their tracker back ends differ.  Extracting it into one
-// class keeps the two byte-identical by construction and gives future
-// back ends (EBBINNOT-style NN region filters, hybrid trackers) a single
-// extension point.  Every stage's measured OpCounts are recorded for the
-// Fig. 5 resource comparison.
+// All six frame-domain variants of the registry (EBBIOT, EBBI+KF,
+// EBBINNOT, Hybrid, EBBINNOT-Hybrid and EBBIOT-CCA) consume exactly this
+// chain; they differ only in the proposer (histogram RPN or CCA), the
+// optional NN region filter and the tracker back end.  One class keeps
+// their front ends byte-identical by construction.  Every stage's
+// measured OpCounts are recorded for the Fig. 5 resource comparison.
 #pragma once
 
 #include "src/common/op_counter.hpp"

@@ -19,7 +19,7 @@ CcaLabeler::CcaLabeler(const CcaConfig& config) : config_(config) {
 }
 
 std::uint32_t CcaLabeler::UnionFind::make() {
-  // hot-path: cleared per frame by labelWords(); high-water capacity only.
+  // hot-path: cleared per frame by label(); high-water capacity only.
   parent.push_back(static_cast<std::uint32_t>(parent.size()));
   return static_cast<std::uint32_t>(parent.size() - 1);
 }
@@ -61,14 +61,11 @@ void CcaLabeler::meterRow(const std::uint64_t* cur, const std::uint64_t* prev,
   const std::size_t lastWord = static_cast<std::size_t>(width - 1) / 64;
   const unsigned lastBit = static_cast<unsigned>(width - 1) % 64;
   const std::uint64_t bl = (cur[lastWord] >> lastBit) & 1;  // x = W-1 set?
-  const bool eight = config_.connectivity == Connectivity::kEight;
 
   ops_.compares += cnt - b0;  // W probe: every set pixel with x > 0
   if (prev != nullptr) {
-    ops_.compares += cnt;  // S probe
-    if (eight) {
-      ops_.compares += (cnt - b0) + (cnt - bl);  // SW, SE probes
-    }
+    ops_.compares += cnt;                      // S probe
+    ops_.compares += (cnt - b0) + (cnt - bl);  // SW, SE probes
   }
 
   std::uint64_t nSum = 0;  // total set preceding neighbours over the row
@@ -83,17 +80,13 @@ void CcaLabeler::meterRow(const std::uint64_t* cur, const std::uint64_t* prev,
     nSum += static_cast<std::uint64_t>(std::popcount(west & c));
     if (prev != nullptr) {
       const std::uint64_t s = prev[k];
+      const std::uint64_t sw = (s << 1) | (k > 0 ? prev[k - 1] >> 63 : 0);
+      const std::uint64_t se =
+          (s >> 1) | (k + 1 < nWords ? prev[k + 1] << 63 : 0);
       nSum += static_cast<std::uint64_t>(std::popcount(s & c));
-      planes |= s;
-      if (eight) {
-        const std::uint64_t sw =
-            (prev[k] << 1) | (k > 0 ? prev[k - 1] >> 63 : 0);
-        const std::uint64_t se =
-            (prev[k] >> 1) | (k + 1 < nWords ? prev[k + 1] << 63 : 0);
-        nSum += static_cast<std::uint64_t>(std::popcount(sw & c)) +
-                static_cast<std::uint64_t>(std::popcount(se & c));
-        planes |= sw | se;
-      }
+      nSum += static_cast<std::uint64_t>(std::popcount(sw & c)) +
+              static_cast<std::uint64_t>(std::popcount(se & c));
+      planes |= s | sw | se;
     }
     any += static_cast<std::uint64_t>(std::popcount(planes & c));
   }
@@ -102,8 +95,9 @@ void CcaLabeler::meterRow(const std::uint64_t* cur, const std::uint64_t* prev,
   ops_.adds += cnt;         // pass-2 extent accumulate per labelled pixel
 }
 
-void CcaLabeler::labelWords(const BinaryImage& image, float scaleX,
-                            float scaleY) {
+const std::vector<ConnectedComponent>& CcaLabeler::label(
+    const BinaryImage& image) {
+  ops_.reset();
   const int width = image.width();
   const int height = image.height();
   const std::size_t nWords = image.wordsPerRow();
@@ -116,8 +110,8 @@ void CcaLabeler::labelWords(const BinaryImage& image, float scaleX,
                    static_cast<std::uint64_t>(height);
 
   // 8-connectivity lets a run touch the previous row's runs one column
-  // past either end; 4-connectivity needs strict column overlap.
-  const int slack = config_.connectivity == Connectivity::kEight ? 1 : 0;
+  // past either end.
+  constexpr int kSlack = 1;
 
   const RowSpan span = image.occupiedRowSpan();
   int prevRowY = span.begin - 2;  // no row adjacency before the first row
@@ -136,12 +130,12 @@ void CcaLabeler::labelWords(const BinaryImage& image, float scaleX,
       // Skip previous-row runs ending before this run's reach; they cannot
       // touch any later run of this row either (both lists are sorted).
       while (pi < prevRuns_.size() &&
-             prevRuns_[pi].end + slack <= begin) {
+             prevRuns_[pi].end + kSlack <= begin) {
         ++pi;
       }
       std::uint32_t label = kNoLabel;
       for (std::size_t j = pi;
-           j < prevRuns_.size() && prevRuns_[j].begin < end + slack; ++j) {
+           j < prevRuns_.size() && prevRuns_[j].begin < end + kSlack; ++j) {
         if (label == kNoLabel) {
           label = prevRuns_[j].label;
         } else {
@@ -196,42 +190,12 @@ void CcaLabeler::labelWords(const BinaryImage& image, float scaleX,
       continue;
     }
     components_.push_back(ConnectedComponent{
-        BBox{static_cast<float>(e.minX) * scaleX,
-             static_cast<float>(e.minY) * scaleY,
-             static_cast<float>(e.maxX - e.minX + 1) * scaleX,
-             static_cast<float>(e.maxY - e.minY + 1) * scaleY},
+        BBox{static_cast<float>(e.minX), static_cast<float>(e.minY),
+             static_cast<float>(e.maxX - e.minX + 1),
+             static_cast<float>(e.maxY - e.minY + 1)},
         e.count});
   }
   std::sort(components_.begin(), components_.end(), componentScanOrderLess);
-}
-
-const std::vector<ConnectedComponent>& CcaLabeler::label(
-    const BinaryImage& image) {
-  ops_.reset();
-  labelWords(image, 1.0F, 1.0F);
-  return components_;
-}
-
-const std::vector<ConnectedComponent>& CcaLabeler::labelDownsampled(
-    const CountImage& image, int s1, int s2) {
-  EBBIOT_ASSERT(s1 >= 1 && s2 >= 1);
-  ops_.reset();
-  // Binarise (cell > 0) into the scratch word image so the count-image
-  // path reuses the run-based labelling; reallocates only on shape change.
-  if (binarized_.width() != image.width() ||
-      binarized_.height() != image.height()) {
-    binarized_ = BinaryImage(image.width(), image.height());
-  } else {
-    binarized_.clear();
-  }
-  for (int y = 0; y < image.height(); ++y) {
-    for (int x = 0; x < image.width(); ++x) {
-      if (image.at(x, y) > 0) {
-        binarized_.set(x, y, true);
-      }
-    }
-  }
-  labelWords(binarized_, static_cast<float>(s1), static_cast<float>(s2));
   return components_;
 }
 

@@ -6,8 +6,9 @@
 // decomposed into maximal horizontal runs with ctz/clz bit scans over its
 // 64-bit words (blank rows are skipped via the conservative row-occupancy
 // bitset), and a union-find operates over runs instead of pixels — every
-// run is merged against the overlapping run interval of the previous row
-// (4-connectivity = strict column overlap, 8-connectivity = ±1 slack).
+// run is merged against the runs of the previous row that touch it under
+// 8-connectivity (column overlap with ±1 slack, so diagonal neighbours
+// join).
 // Component extents and pixel counts accumulate directly from run
 // endpoints, so the classic second resolve pass over the label grid (and
 // the grid itself) disappears; per frame the work is proportional to the
@@ -21,9 +22,7 @@
 // MedianFilterReference convention.  Host-word parallelism changes
 // wall-clock, not the abstract cost model of Fig. 5.
 //
-// Labelling runs either directly on the full-resolution EBBI or on the
-// downsampled count image (binarised row-wise into a scratch BinaryImage
-// so it takes the same run-based fast path).
+// Labelling runs directly on the full-resolution EBBI.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +31,10 @@
 #include "src/common/op_counter.hpp"
 #include "src/detect/region.hpp"
 #include "src/ebbi/binary_image.hpp"
-#include "src/ebbi/downsample.hpp"
 
 namespace ebbiot {
 
-enum class Connectivity : std::uint8_t {
-  kFour = 4,
-  kEight = 8,
-};
-
 struct CcaConfig {
-  Connectivity connectivity = Connectivity::kEight;
   std::size_t minComponentPixels = 4;  ///< discard smaller components
 };
 
@@ -83,16 +75,11 @@ class CcaLabeler {
   /// Label the binary image; returns components of at least
   /// minComponentPixels pixels, in deterministic scan order (see
   /// componentScanOrderLess).  The reference is valid until the next
-  /// label*/propose call — the labeler reuses its scratch (run lists,
+  /// label/propose call — the labeler reuses its scratch (run lists,
   /// union-find, extents) across calls so steady-state loops allocate
   /// nothing once warm.
   [[nodiscard]] const std::vector<ConnectedComponent>& label(
       const BinaryImage& image);
-
-  /// Label a downsampled count image (cell > 0 counts as foreground);
-  /// boxes are scaled back to full resolution by (s1, s2).
-  [[nodiscard]] const std::vector<ConnectedComponent>& labelDownsampled(
-      const CountImage& image, int s1, int s2);
 
   /// Region proposals from full-resolution labelling (reference valid
   /// until the next call, like label()).
@@ -131,10 +118,6 @@ class CcaLabeler {
     std::size_t count = 0;
   };
 
-  /// Run-based labelling over the image's word rows; boxes scaled by
-  /// (scaleX, scaleY).  Also computes the closed-form per-pixel OpCounts.
-  void labelWords(const BinaryImage& image, float scaleX, float scaleY);
-
   /// Closed-form two-pass accounting for one row: word-parallel popcounts
   /// of the preceding-neighbour bit-planes (W, and S/SW/SE against the
   /// previous row).  `prev` is null for the bottom image row.
@@ -150,7 +133,6 @@ class CcaLabeler {
   std::vector<Extent> extents_;
   std::vector<ConnectedComponent> components_;
   RegionProposals proposals_;
-  BinaryImage binarized_;  ///< scratch for the CountImage path
 };
 
 }  // namespace ebbiot

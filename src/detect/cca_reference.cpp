@@ -33,22 +33,23 @@ void CcaLabelerReference::UnionFind::unite(std::uint32_t a, std::uint32_t b) {
   }
 }
 
-template <typename IsSetFn>
-void CcaLabelerReference::labelGrid(int width, int height, IsSetFn isSet,
-                                    float scaleX, float scaleY) {
+const std::vector<ConnectedComponent>& CcaLabelerReference::label(
+    const BinaryImage& image) {
+  ops_.reset();
   constexpr std::uint32_t kNoLabel = std::numeric_limits<std::uint32_t>::max();
+  const int width = image.width();
+  const int height = image.height();
   labels_.assign(
       static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
       kNoLabel);
   uf_.parent.clear();
-  const bool eight = config_.connectivity == Connectivity::kEight;
 
   // Pass 1: provisional labels from already-visited neighbours
   // (W, SW, S, SE in bottom-up scan order; S row is y-1).
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       ++ops_.compares;
-      if (!isSet(x, y)) {
+      if (!image.get(x, y)) {
         continue;
       }
       std::uint32_t best = kNoLabel;
@@ -71,10 +72,8 @@ void CcaLabelerReference::labelGrid(int width, int height, IsSetFn isSet,
       };
       consider(x - 1, y);
       consider(x, y - 1);
-      if (eight) {
-        consider(x - 1, y - 1);
-        consider(x + 1, y - 1);
-      }
+      consider(x - 1, y - 1);
+      consider(x + 1, y - 1);
       if (best == kNoLabel) {
         best = uf_.make();
       }
@@ -113,32 +112,12 @@ void CcaLabelerReference::labelGrid(int width, int height, IsSetFn isSet,
       continue;
     }
     components_.push_back(ConnectedComponent{
-        BBox{static_cast<float>(e.minX) * scaleX,
-             static_cast<float>(e.minY) * scaleY,
-             static_cast<float>(e.maxX - e.minX + 1) * scaleX,
-             static_cast<float>(e.maxY - e.minY + 1) * scaleY},
+        BBox{static_cast<float>(e.minX), static_cast<float>(e.minY),
+             static_cast<float>(e.maxX - e.minX + 1),
+             static_cast<float>(e.maxY - e.minY + 1)},
         e.count});
   }
   std::sort(components_.begin(), components_.end(), componentScanOrderLess);
-}
-
-const std::vector<ConnectedComponent>& CcaLabelerReference::label(
-    const BinaryImage& image) {
-  ops_.reset();
-  labelGrid(
-      image.width(), image.height(),
-      [&image](int x, int y) { return image.get(x, y); }, 1.0F, 1.0F);
-  return components_;
-}
-
-const std::vector<ConnectedComponent>& CcaLabelerReference::labelDownsampled(
-    const CountImage& image, int s1, int s2) {
-  EBBIOT_ASSERT(s1 >= 1 && s2 >= 1);
-  ops_.reset();
-  labelGrid(
-      image.width(), image.height(),
-      [&image](int x, int y) { return image.at(x, y) > 0; },
-      static_cast<float>(s1), static_cast<float>(s2));
   return components_;
 }
 

@@ -22,7 +22,6 @@
 #include "src/detect/cca.hpp"
 #include "src/detect/region.hpp"
 #include "src/ebbi/binary_image.hpp"
-#include "src/ebbi/downsample.hpp"
 
 namespace ebbiot {
 
@@ -33,11 +32,6 @@ class CcaLabelerReference {
   /// Label the binary image; same contract as CcaLabeler::label.
   [[nodiscard]] const std::vector<ConnectedComponent>& label(
       const BinaryImage& image);
-
-  /// Label a downsampled count image; same contract as
-  /// CcaLabeler::labelDownsampled.
-  [[nodiscard]] const std::vector<ConnectedComponent>& labelDownsampled(
-      const CountImage& image, int s1, int s2);
 
   /// Region proposals from full-resolution labelling.
   [[nodiscard]] const RegionProposals& propose(const BinaryImage& image);
@@ -64,10 +58,6 @@ class CcaLabelerReference {
     int maxY = 0;
     std::size_t count = 0;
   };
-
-  template <typename IsSetFn>
-  void labelGrid(int width, int height, IsSetFn isSet, float scaleX,
-                 float scaleY);
 
   CcaConfig config_;
   OpCounts ops_;

@@ -1,8 +1,7 @@
 #include "src/detect/histogram_rpn.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "src/common/error.hpp"
 
 namespace ebbiot {
 namespace {
@@ -27,10 +26,7 @@ BBox tightenToPixels(const BinaryImage& image, const BBox& box,
 }  // namespace
 
 HistogramRpn::HistogramRpn(const HistogramRpnConfig& config)
-    : config_(config), downsampler_(config.s1, config.s2) {
-  EBBIOT_ASSERT(config.threshold >= 1);
-  EBBIOT_ASSERT(config.minValidPixels >= 1);
-}
+    : config_(config), downsampler_(config.s1, config.s2) {}
 
 const RegionProposals& HistogramRpn::propose(const BinaryImage& ebbi) {
   ops_.reset();
@@ -39,12 +35,12 @@ const RegionProposals& HistogramRpn::propose(const BinaryImage& ebbi) {
   histogramBuilder_.buildInto(down_, hist_);
   ops_ += histogramBuilder_.lastOps();
 
-  findRunsInto(hist_.hx, config_.threshold, config_.maxGap, runsX_);
-  findRunsInto(hist_.hy, config_.threshold, config_.maxGap, runsY_);
+  findRunsInto(hist_.hx, runsX_);
+  findRunsInto(hist_.hy, runsY_);
   ops_.compares += hist_.hx.size() + hist_.hy.size();
 
-  const bool ambiguous = runsX_.size() > 1 && runsY_.size() > 1;
-  const bool validate = config_.alwaysValidate || ambiguous;
+  // Only several runs on both axes make an intersection ambiguous.
+  const bool validate = runsX_.size() > 1 && runsY_.size() > 1;
 
   proposals_.clear();
   proposals_.reserve(runsX_.size() * runsY_.size());
@@ -65,16 +61,14 @@ const RegionProposals& HistogramRpn::propose(const BinaryImage& ebbi) {
         const std::size_t pixels = ebbi.popcountInRegion(box);
         ops_.adds += static_cast<std::uint64_t>(box.area());
         ops_.compares += 1;
-        if (pixels < config_.minValidPixels) {
+        if (pixels == 0) {
           continue;  // spurious X-run x Y-run intersection
         }
         support = pixels;
       }
-      if (config_.tightenBoxes) {
-        box = tightenToPixels(ebbi, box, ops_);
-        if (box.empty()) {
-          continue;
-        }
+      box = tightenToPixels(ebbi, box, ops_);
+      if (box.empty()) {
+        continue;
       }
       proposals_.push_back(RegionProposal{box, support});
     }

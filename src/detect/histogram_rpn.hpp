@@ -3,13 +3,15 @@
 // Pipeline per frame:
 //   1. block-downsample the (filtered) EBBI by (s1, s2)        — Eq. (3)
 //   2. build X and Y histograms of the downsampled image       — Eq. (4)
-//   3. find contiguous runs of bins >= threshold in each axis
+//   3. find the maximal runs of non-zero bins in each axis
 //   4. form candidate boxes as the cartesian intersections of X-runs and
 //      Y-runs, scaled back to full resolution
 //   5. when both axes have multiple runs, intersections can be spurious
 //      ("false regions may be proposed by considering all overlaps"), so
-//      each candidate is validated against the full-resolution image: it
-//      must contain at least `minValidPixels` set pixels.
+//      each candidate is validated against the full-resolution image: an
+//      intersection holding no set pixel is dropped
+//   6. shrink every surviving box to the tight bounding box of its set
+//      pixels, removing the (s1, s2) block quantisation.
 //
 // The coarse histogram deliberately merges fragmented objects (the bus /
 // car fragmentation of Figure 3) at the cost of slightly oversized boxes;
@@ -25,20 +27,8 @@
 namespace ebbiot {
 
 struct HistogramRpnConfig {
-  int s1 = 6;                     ///< X downsample factor (paper: 6)
-  int s2 = 3;                     ///< Y downsample factor (paper: 3)
-  std::uint32_t threshold = 1;    ///< histogram run threshold (paper: 1)
-  int maxGap = 0;                 ///< bridge gaps up to this many bins
-  std::size_t minValidPixels = 1; ///< full-res support needed when ambiguous
-  /// Validate candidates even when only one axis is ambiguous.  When false,
-  /// validation only runs with multiple runs on *both* axes (the paper's
-  /// case); true is stricter and slightly costlier.
-  bool alwaysValidate = false;
-  /// Shrink every proposal to the tight bounding box of its set pixels.
-  /// The raw intersection boxes are padded to (s1, s2) block boundaries;
-  /// tightening removes that quantisation at a cost proportional to the
-  /// proposal area (small next to the downsampling pass).
-  bool tightenBoxes = true;
+  int s1 = 6;  ///< X downsample factor (paper: 6)
+  int s2 = 3;  ///< Y downsample factor (paper: 3)
 };
 
 class HistogramRpn {
@@ -62,7 +52,7 @@ class HistogramRpn {
   }
 
   /// Ops of the most recent propose() call (downsample + histogram + run
-  /// finding + validation), comparable to C_RPN of Eq. (5).
+  /// finding + validation + tightening), comparable to C_RPN of Eq. (5).
   /// ops-model: metered — histogram build + tighten passes count as they run.
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }
 

@@ -196,7 +196,7 @@ RegionProposals RegionFilter::apply(const BinaryImage& ebbi,
     }
     const std::int32_t logit = score(ebbi, p);
     ops_.compares += 1;  // accept threshold
-    if (config_.bypass || logit > config_.acceptThreshold) {
+    if (logit > 0) {
       accepted.push_back(p);
     } else {
       ++rejected_;

@@ -39,12 +39,6 @@ struct RegionFilterConfig {
   /// Area (px^2) of a "full-sized" object; the area feature saturates
   /// here.  Default is a ~50 x 24 px vehicle at the paper's geometry.
   float referenceArea = 1200.0F;
-  /// Accept threshold on the output logit, in Q15 units (32768 = 1.0).
-  /// 0 keeps the structural operating point; raise to reject harder.
-  std::int32_t acceptThreshold = 0;
-  /// Pass every proposal through unmodified (stage still meters feature
-  /// extraction + MLP ops, for cost ablations).
-  bool bypass = false;
   std::uint32_t weightSeed = 0x9E3779B9U;  ///< deterministic mixing seed
 };
 
@@ -55,7 +49,7 @@ class RegionFilter {
 
   /// Classify every proposal against its patch in `ebbi` (the
   /// median-filtered binary image the proposals were cut from); returns
-  /// the accepted subset in order.
+  /// the accepted subset, those with a positive logit, in order.
   RegionProposals apply(const BinaryImage& ebbi,
                         const RegionProposals& proposals);
 

@@ -118,8 +118,9 @@ class BinaryImage {
   /// Number of set pixels within the clamped box.
   [[nodiscard]] std::size_t popcountInRegion(const BBox& region) const;
 
-  /// True if any pixel in the clamped box is set (early-out scan).  Used by
-  /// the RPN validity check for intersection regions (Section II-B).
+  /// True if any pixel in the clamped box is set (early-out scan).  The
+  /// RPN's validity check counts instead (popcountInRegion), since a
+  /// validated proposal's support is its pixel count.
   [[nodiscard]] bool anySetInRegion(const BBox& region) const;
 
   /// Bitwise OR with another image of identical shape (used by the

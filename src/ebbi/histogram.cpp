@@ -1,6 +1,5 @@
 #include "src/ebbi/histogram.hpp"
 
-#include "src/common/error.hpp"
 #include "src/ebbi/runs.hpp"
 
 namespace ebbiot {
@@ -25,24 +24,16 @@ void HistogramBuilder::buildInto(const CountImage& image, HistogramPair& out) {
 }
 
 void findRunsInto(const std::vector<std::uint32_t>& histogram,
-                  std::uint32_t threshold, int maxGap,
                   std::vector<HistogramRun>& runs) {
-  EBBIOT_ASSERT(maxGap >= 0);
   runs.clear();
-  // The interval scan is the shared run scanner (src/ebbi/runs.hpp) the
-  // CCA labeller also builds on; mass sums the above-threshold bins of
-  // each emitted run (bridged gap bins carry below-threshold mass we
-  // deliberately ignore).
+  // The interval scan is the shared scalar run scanner (src/ebbi/runs.hpp).
   forEachRun(
       static_cast<int>(histogram.size()),
-      [&](int i) { return histogram[static_cast<std::size_t>(i)] >= threshold; },
-      maxGap, [&](int begin, int end) {
+      [&](int i) { return histogram[static_cast<std::size_t>(i)] != 0; },
+      [&](int begin, int end) {
         HistogramRun run{begin, end, 0};
         for (int i = begin; i < end; ++i) {
-          const std::uint32_t v = histogram[static_cast<std::size_t>(i)];
-          if (v >= threshold) {
-            run.mass += v;
-          }
+          run.mass += histogram[static_cast<std::size_t>(i)];
         }
         runs.push_back(run);
       });

@@ -36,7 +36,7 @@ class HistogramBuilder {
   OpCounts ops_;
 };
 
-/// A maximal run of histogram bins with value >= threshold.
+/// A maximal run of non-zero histogram bins.
 /// Indices are bins of the *downsampled* image; [begin, end).
 struct HistogramRun {
   int begin = 0;
@@ -47,12 +47,9 @@ struct HistogramRun {
   friend bool operator==(const HistogramRun&, const HistogramRun&) = default;
 };
 
-/// Find maximal runs of bins >= threshold (paper threshold: 1) into a
-/// reusable output vector (cleared first).  `maxGap` merges runs
-/// separated by fewer than maxGap below-threshold bins (0 = exact
-/// contiguity as in the paper).
+/// Find the maximal runs of non-zero bins (the paper's threshold of 1)
+/// into a reusable output vector (cleared first).
 void findRunsInto(const std::vector<std::uint32_t>& histogram,
-                  std::uint32_t threshold, int maxGap,
                   std::vector<HistogramRun>& out);
 
 }  // namespace ebbiot

@@ -6,11 +6,10 @@
 // pixels, and the histogram RPN's 1-D run finding (Section II-B) is the
 // same scan over bins.  Two scanners live here:
 //
-//   * forEachRun       — generic scalar scan over any indexed predicate,
-//                        with the RPN's maxGap bridging semantics.  Backs
-//                        findRunsInto (src/ebbi/histogram.hpp), so the
-//                        histogram RPN and the CCA labeller share one run
-//                        vocabulary.
+//   * forEachRun       — generic scalar scan over any indexed predicate.
+//                        Backs findRunsInto (src/ebbi/histogram.hpp), so
+//                        the histogram RPN and the CCA labeller share one
+//                        run vocabulary.
 //   * forEachSetRunInWords — bit-scan over a 64-bit word row (ctz on the
 //                        word to find a run start, ctz of the complement
 //                        to find its end), so a row costs a handful of
@@ -35,30 +34,23 @@ struct PixelRun {
   friend bool operator==(const PixelRun&, const PixelRun&) = default;
 };
 
-/// Scan indices [0, n) and emit maximal runs where isSet(i) holds, merging
-/// runs separated by at most maxGap unset indices (0 = exact contiguity).
-/// emit(begin, end) receives half-open bounds; `end` is one past the last
-/// *set* index of the run (bridged gap indices never extend the end).
+/// Scan indices [0, n) and emit the maximal runs where isSet(i) holds, as
+/// half-open bounds emit(begin, end).
 template <typename IsSetFn, typename EmitFn>
-void forEachRun(int n, IsSetFn&& isSet, int maxGap, EmitFn&& emit) {
+void forEachRun(int n, IsSetFn&& isSet, EmitFn&& emit) {
   int begin = -1;
-  int end = 0;
-  int gap = 0;
   for (int i = 0; i < n; ++i) {
     if (isSet(i)) {
       if (begin < 0) {
         begin = i;
       }
-      end = i + 1;
-      gap = 0;
-    } else if (begin >= 0 && ++gap > maxGap) {
-      emit(begin, end);
+    } else if (begin >= 0) {
+      emit(begin, i);
       begin = -1;
-      gap = 0;
     }
   }
   if (begin >= 0) {
-    emit(begin, end);
+    emit(begin, n);
   }
 }
 

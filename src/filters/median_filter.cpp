@@ -5,13 +5,12 @@
 #include <span>
 
 #include "src/common/error.hpp"
-#include "src/filters/median_filter_reference.hpp"
 #include "src/filters/median_majority.hpp"
 
 namespace ebbiot {
 
 MedianFilter::MedianFilter(int patchSize) : patchSize_(patchSize) {
-  EBBIOT_ASSERT(patchSize >= 1 && patchSize % 2 == 1);
+  EBBIOT_ASSERT(patchSize == 1 || patchSize == 3);
 }
 
 BinaryImage MedianFilter::apply(const BinaryImage& input) {
@@ -32,22 +31,8 @@ void MedianFilter::applyInto(const BinaryImage& input, BinaryImage& output) {
     output = input;  // 1x1 median is the identity
     return;
   }
-  if (patchSize_ == 3) {
-    rowScratch_.resize(input.wordsPerRow());
-    median_detail::majority3Kernel()(input, output, rowScratch_);
-    return;
-  }
-  applyScalar(input, output);
-}
-
-void MedianFilter::applyScalar(const BinaryImage& input,
-                               BinaryImage& output) const {
-  // Patch sizes without a bit-sliced kernel delegate to the scalar
-  // reference (one implementation to maintain); its metered ops are
-  // discarded — ours are already set from the closed form, which the
-  // differential tests pin equal anyway.
-  MedianFilterReference reference(patchSize_);
-  reference.applyInto(input, output);
+  rowScratch_.resize(input.wordsPerRow());
+  median_detail::majority3Kernel()(input, output, rowScratch_);
 }
 
 namespace median_detail {

@@ -27,8 +27,9 @@
 // north, centre and south sums while the band moves down; the output row
 // is stored only when it is non-zero.  The portable word loop
 // (median_detail::majority3Portable) is the reference and runs
-// everywhere else.  p = 1 is an identity copy; other patch sizes use a
-// scalar fallback.
+// everywhere else.  p = 1 is an identity copy; other patch sizes are
+// refused (the scalar MedianFilterReference keeps the general p x p
+// formulation, as the oracle of the tests).
 //
 // The *reported* OpCounts stay the paper's abstract accounting, computed
 // in closed form so they are bit-identical to the metered values of the
@@ -48,7 +49,8 @@ namespace ebbiot {
 
 class MedianFilter {
  public:
-  /// `patchSize` = p, odd and >= 1 (paper: 3).
+  /// `patchSize` = p: 3 (the paper's) or 1 (identity); any other value
+  /// throws LogicError.
   explicit MedianFilter(int patchSize);
 
   [[nodiscard]] int patchSize() const { return patchSize_; }
@@ -66,8 +68,6 @@ class MedianFilter {
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }
 
  private:
-  void applyScalar(const BinaryImage& input, BinaryImage& output) const;
-
   int patchSize_;
   OpCounts ops_;
   /// One output row of the portable 3x3 loop (wordsPerRow words), reused.

@@ -187,9 +187,4 @@ void DavisSimulator::emitNoise(TimeUs t0, TimeUs t1, EventPacket& out) {
   }
 }
 
-EventPacket LatchedSource::nextWindow(TimeUs duration) {
-  return latchReadout(inner_.nextWindow(duration), inner_.width(),
-                      inner_.height());
-}
-
 }  // namespace ebbiot

@@ -101,18 +101,4 @@ class DavisSimulator final : public EventSource {
 [[nodiscard]] EventPacket latchReadout(const EventPacket& packet, int width,
                                        int height);
 
-/// EventSource decorator applying latchReadout() to every window.
-class LatchedSource final : public EventSource {
- public:
-  explicit LatchedSource(EventSource& inner) : inner_(inner) {}
-
-  [[nodiscard]] EventPacket nextWindow(TimeUs duration) override;
-  [[nodiscard]] TimeUs now() const override { return inner_.now(); }
-  [[nodiscard]] int width() const override { return inner_.width(); }
-  [[nodiscard]] int height() const override { return inner_.height(); }
-
- private:
-  EventSource& inner_;
-};
-
 }  // namespace ebbiot

@@ -33,9 +33,6 @@ GtFrame annotateScene(const SceneProvider& scene, TimeUs t,
   GtFrame frame;
   frame.t = t;
   for (const ObjectState& o : scene.objectsAt(t)) {
-    if (options.excludeHumans && o.kind == ObjectClass::kHuman) {
-      continue;
-    }
     const BBox clipped = clampToFrame(o.box, scene.width(), scene.height());
     if (clipped.empty()) {
       continue;

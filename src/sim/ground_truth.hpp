@@ -52,10 +52,6 @@ struct GtOptions {
   float minVisibleFraction = 0.25F;
   /// Minimum visible box side in pixels.
   float minBoxSide = 2.0F;
-  /// Drop humans from the annotations.  Matches the paper's evaluation
-  /// scope: "we have not tracked slow and small objects like humans"
-  /// (Section IV) — the Fig. 4 benches set this.
-  bool excludeHumans = false;
 };
 
 /// Annotate one instant of a scene.

@@ -25,74 +25,64 @@ void KalmanConfig::validate() const {
 ConstantVelocityKalman::ConstantVelocityKalman(Vec2f position,
                                                const KalmanConfig& config)
     // Discrete white-noise acceleration model, dt = 1 frame.
-    : q4_(config.processNoise / 4.0),
+    : p_{position.x, position.y},
+      q4_(config.processNoise / 4.0),
       q2_(config.processNoise / 2.0),
       q_(config.processNoise),
       r_(config.measurementNoise * config.measurementNoise) {
-  const Covariance p0{r_, 0.0, 0.0,
-                      config.initialVelocitySigma *
-                          config.initialVelocitySigma};
-  axes_ = {Axis{position.x, 0.0, p0}, Axis{position.y, 0.0, p0}};
+  cov_ = Covariance{r_, 0.0, 0.0,
+                    config.initialVelocitySigma * config.initialVelocitySigma};
 }
 
 void ConstantVelocityKalman::predict() {
-  for (Axis& s : axes_) {
-    const Covariance o = s.cov;
-    s.p += s.v;
-    s.cov.a = ((o.a + o.c) + (o.b + o.d)) + q4_;
-    s.cov.b = (o.b + o.d) + q2_;
-    s.cov.c = (o.c + o.d) + q2_;
-    s.cov.d = o.d + q_;
+  const Covariance o = cov_;
+  for (std::size_t i = 0; i < 2; ++i) {
+    p_[i] += v_[i];
   }
+  cov_.a = ((o.a + o.c) + (o.b + o.d)) + q4_;
+  cov_.b = (o.b + o.d) + q2_;
+  cov_.c = (o.c + o.d) + q2_;
+  cov_.d = o.d + q_;
 }
 
 void ConstantVelocityKalman::update(Vec2f measuredPosition) {
-  // S = H P H^T + R is diagonal, one pivot a + r per axis; inverting it
-  // is refused, before either axis changes, on a pivot below 1e-12.
-  for (const Axis& s : axes_) {
-    if (std::abs(s.cov.a + r_) < 1e-12) {
-      throw LogicError("ConstantVelocityKalman::update: singular S");
-    }
+  // S = H P H^T + R is diagonal with the one pivot a + r on both axes;
+  // inverting it is refused, before anything changes, below 1e-12.
+  const Covariance o = cov_;
+  if (std::abs(o.a + r_) < 1e-12) {
+    throw LogicError("ConstantVelocityKalman::update: singular S");
   }
+  const double inv = 1.0 / (o.a + r_);
+  const double k0 = o.a * inv;
+  const double k1 = o.c * inv;
   const std::array<double, 2> z{measuredPosition.x, measuredPosition.y};
   std::array<double, 2> e{};
   for (std::size_t i = 0; i < 2; ++i) {
-    Axis& s = axes_[i];
-    const Covariance o = s.cov;
-    e[i] = z[i] - s.p;
-    const double inv = 1.0 / (o.a + r_);
-    const double k0 = o.a * inv;
-    const double k1 = o.c * inv;
+    e[i] = z[i] - p_[i];
     // Products round before they are summed, as in the dense 4x4
     // products.  That holds on targets without FMA (the default
     // x86-64 build): with FMA enabled, GCC's default -ffp-contract=fast
     // fuses them even across statements.
     const double dp = k0 * e[i];
     const double dv = k1 * e[i];
-    const double dc = k1 * o.a;
-    const double dd = k1 * o.b;
-    s.p += dp;
-    s.v += dv;
-    s.cov.a = (1.0 - k0) * o.a;
-    s.cov.b = (1.0 - k0) * o.b;
-    s.cov.c = o.c - dc;
-    s.cov.d = o.d - dd;
+    p_[i] += dp;
+    v_[i] += dv;
   }
+  const double dc = k1 * o.a;
+  const double dd = k1 * o.b;
+  cov_.a = (1.0 - k0) * o.a;
+  cov_.b = (1.0 - k0) * o.b;
+  cov_.c = o.c - dc;
+  cov_.d = o.d - dd;
   lastInnovation_ = std::hypot(e[0], e[1]);
 }
 
 Vec2f ConstantVelocityKalman::position() const {
-  return {static_cast<float>(axes_[0].p), static_cast<float>(axes_[1].p)};
+  return {static_cast<float>(p_[0]), static_cast<float>(p_[1])};
 }
 
 Vec2f ConstantVelocityKalman::velocity() const {
-  return {static_cast<float>(axes_[0].v), static_cast<float>(axes_[1].v)};
-}
-
-const ConstantVelocityKalman::Covariance& ConstantVelocityKalman::covariance(
-    int axis) const {
-  EBBIOT_ASSERT(axis == 0 || axis == 1);
-  return axes_[static_cast<std::size_t>(axis)].cov;
+  return {static_cast<float>(v_[0]), static_cast<float>(v_[1])};
 }
 
 KalmanTracker::KalmanTracker(const KalmanTrackerConfig& config)

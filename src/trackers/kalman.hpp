@@ -37,14 +37,17 @@ struct KalmanConfig {
 /// F, H, Q, R and the initial covariance are block-diagonal per axis, so
 /// the 4-state recursion is two independent filters over (position,
 /// velocity): the covariance blocks between the axes stay exactly zero and
-/// the innovation covariance S is diagonal.  Each axis keeps its own 2x2
-/// block, not symmetrised, and does the floating-point operations of the
+/// the innovation covariance S is diagonal.  The covariance recursion
+/// never reads a measurement, and both axes start from the same P0 with
+/// the same Q and R, so the two diagonal blocks are equal at every step:
+/// the filter keeps one 2x2 block, not symmetrised, plus each axis'
+/// position and velocity.  It does the floating-point operations of the
 /// dense 4x4 products P <- F P F^T + Q, K = P H^T S^-1 and
 /// P <- (I - K H) P in their order, so it equals that recursion bit for
 /// bit (pinned in tests/test_kalman.cpp).
 class ConstantVelocityKalman {
  public:
-  /// One axis' covariance over (position, velocity): [[a, b], [c, d]].
+  /// Each axis' covariance over (position, velocity): [[a, b], [c, d]].
   struct Covariance {
     double a = 0.0;
     double b = 0.0;
@@ -58,8 +61,8 @@ class ConstantVelocityKalman {
   void predict();
 
   /// Measurement update with a centroid observation.  Throws LogicError,
-  /// leaving the filter unchanged, when an axis' innovation variance
-  /// P_pp + R is below 1e-12 in magnitude.
+  /// leaving the filter unchanged, when the innovation variance P_pp + R
+  /// is below 1e-12 in magnitude.
   void update(Vec2f measuredPosition);
 
   [[nodiscard]] Vec2f position() const;
@@ -68,17 +71,13 @@ class ConstantVelocityKalman {
   /// Innovation (pre-fit residual) magnitude of the last update.
   [[nodiscard]] double lastInnovation() const { return lastInnovation_; }
 
-  /// Covariance block of axis 0 (x) or 1 (y).
-  [[nodiscard]] const Covariance& covariance(int axis) const;
+  /// The covariance block both axes share.
+  [[nodiscard]] const Covariance& covariance() const { return cov_; }
 
  private:
-  struct Axis {
-    double p = 0.0;  ///< position
-    double v = 0.0;  ///< velocity
-    Covariance cov;
-  };
-
-  std::array<Axis, 2> axes_;
+  std::array<double, 2> p_{};  ///< position per axis
+  std::array<double, 2> v_{};  ///< velocity per axis
+  Covariance cov_;
   double q4_ = 0.0;  ///< Q per axis, dt = 1: [[q/4, q/2], [q/2, q]]
   double q2_ = 0.0;
   double q_ = 0.0;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
@@ -73,6 +74,12 @@ struct BruteCase {
   std::size_t cols;
   int seed;
 };
+
+// Names the ctest case after the values; the default would print the
+// struct's bytes, padding included, which differ between builds.
+void PrintTo(const BruteCase& c, std::ostream* os) {
+  *os << c.rows << "x" << c.cols << "_seed" << c.seed;
+}
 
 class AssignmentBruteForceProperty
     : public ::testing::TestWithParam<BruteCase> {};

@@ -185,7 +185,7 @@ TEST(BinaryImageTest, ForEachRunInRowMatchesScalarScanRandomly) {
     img.forEachRunInRow(0, [&](int b, int e) { got.push_back({b, e}); });
     std::vector<PixelRun> want;
     forEachRun(
-        w, [&](int x) { return img.get(x, 0); }, 0,
+        w, [&](int x) { return img.get(x, 0); },
         [&](int b, int e) { want.push_back({b, e}); });
     EXPECT_EQ(got, want) << "width " << w;
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <queue>
 
 #include "src/common/rng.hpp"
@@ -17,9 +18,8 @@ void fillBlock(BinaryImage& img, int x0, int y0, int w, int h) {
   }
 }
 
-/// Reference flood-fill labeller for the property test.
+/// Reference 8-connected flood-fill labeller for the property test.
 std::vector<ConnectedComponent> floodFillReference(const BinaryImage& img,
-                                                   Connectivity conn,
                                                    std::size_t minPixels) {
   const int w = img.width();
   const int h = img.height();
@@ -51,9 +51,6 @@ std::vector<ConnectedComponent> floodFillReference(const BinaryImage& img,
             if (dx == 0 && dy == 0) {
               continue;
             }
-            if (conn == Connectivity::kFour && dx != 0 && dy != 0) {
-              continue;
-            }
             const int nx = x + dx;
             const int ny = y + dy;
             if (nx < 0 || nx >= w || ny < 0 || ny >= h) {
@@ -77,13 +74,7 @@ std::vector<ConnectedComponent> floodFillReference(const BinaryImage& img,
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const ConnectedComponent& a, const ConnectedComponent& b) {
-              if (a.box.y != b.box.y) {
-                return a.box.y < b.box.y;
-              }
-              return a.box.x < b.box.x;
-            });
+  std::sort(out.begin(), out.end(), componentScanOrderLess);
   return out;
 }
 
@@ -111,19 +102,20 @@ TEST(CcaTest, TwoBlocksTwoComponents) {
   EXPECT_EQ(cca.label(img).size(), 2U);
 }
 
-TEST(CcaTest, DiagonalTouchJoinsOnlyWithEightConnectivity) {
+TEST(CcaTest, DiagonalTouchJoins) {
+  // 8-connectivity: pixels touching at a corner, in either diagonal
+  // direction, form one component.
   BinaryImage img(16, 16);
   img.set(5, 5, true);
   img.set(6, 6, true);
-  CcaConfig eight;
-  eight.minComponentPixels = 1;
-  CcaLabeler ccaEight(eight);
-  EXPECT_EQ(ccaEight.label(img).size(), 1U);
-  CcaConfig four;
-  four.connectivity = Connectivity::kFour;
-  four.minComponentPixels = 1;
-  CcaLabeler ccaFour(four);
-  EXPECT_EQ(ccaFour.label(img).size(), 2U);
+  img.set(7, 5, true);
+  CcaConfig config;
+  config.minComponentPixels = 1;
+  CcaLabeler cca(config);
+  const auto comps = cca.label(img);
+  ASSERT_EQ(comps.size(), 1U);
+  EXPECT_EQ(comps[0].box, (BBox{5, 5, 3, 2}));
+  EXPECT_EQ(comps[0].pixelCount, 3U);
 }
 
 TEST(CcaTest, UShapeIsOneComponent) {
@@ -162,50 +154,43 @@ TEST(CcaTest, ProposalsMirrorComponents) {
   EXPECT_EQ(props[0].support, 48U);
 }
 
-TEST(CcaTest, DownsampledLabellingScalesBoxes) {
-  CountImage down(40, 60);
-  down.at(5, 10) = 3;
-  down.at(6, 10) = 2;
-  CcaConfig config;
-  config.minComponentPixels = 1;
-  CcaLabeler cca(config);
-  const auto comps = cca.labelDownsampled(down, 6, 3);
-  ASSERT_EQ(comps.size(), 1U);
-  EXPECT_EQ(comps[0].box, (BBox{30, 30, 12, 3}));
-  EXPECT_EQ(comps[0].pixelCount, 2U);  // cells, not mass
-}
-
-// Property: two-pass union-find agrees exactly with flood fill on random
-// images at both connectivities.
+// Property: the run-based labeller agrees exactly with flood fill on
+// random images, square and with a width that is not a multiple of 64
+// (the last word of every row is a tail word).
 struct CcaPropertyCase {
   int seed;
-  Connectivity conn;
+  int width;
+  int height;
 };
+
+void PrintTo(const CcaPropertyCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_" << c.width << "x" << c.height;
+}
 
 class CcaEquivalenceProperty
     : public ::testing::TestWithParam<CcaPropertyCase> {};
 
 TEST_P(CcaEquivalenceProperty, MatchesFloodFill) {
-  const auto [seed, conn] = GetParam();
+  const auto [seed, w, h] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
-  BinaryImage img(48, 48);
-  // Mixture of blobs and noise for interesting topologies.
+  BinaryImage img(w, h);
+  // Mixture of blobs and noise for interesting topologies; 120 noise
+  // pixels per 48 x 48 of frame.
   for (int b = 0; b < 5; ++b) {
-    const int x0 = static_cast<int>(rng.uniformInt(0, 40));
-    const int y0 = static_cast<int>(rng.uniformInt(0, 40));
+    const int x0 = static_cast<int>(rng.uniformInt(0, w - 8));
+    const int y0 = static_cast<int>(rng.uniformInt(0, h - 8));
     fillBlock(img, x0, y0, static_cast<int>(rng.uniformInt(2, 7)),
               static_cast<int>(rng.uniformInt(2, 7)));
   }
-  for (int i = 0; i < 120; ++i) {
-    img.set(static_cast<int>(rng.uniformInt(0, 47)),
-            static_cast<int>(rng.uniformInt(0, 47)), true);
+  for (int i = 0; i < 120 * w * h / (48 * 48); ++i) {
+    img.set(static_cast<int>(rng.uniformInt(0, w - 1)),
+            static_cast<int>(rng.uniformInt(0, h - 1)), true);
   }
   CcaConfig config;
-  config.connectivity = conn;
   config.minComponentPixels = 1;
   CcaLabeler cca(config);
   const auto ours = cca.label(img);
-  const auto reference = floodFillReference(img, conn, 1);
+  const auto reference = floodFillReference(img, 1);
   ASSERT_EQ(ours.size(), reference.size());
   for (std::size_t i = 0; i < ours.size(); ++i) {
     EXPECT_EQ(ours[i].box, reference[i].box) << "component " << i;
@@ -217,8 +202,8 @@ TEST_P(CcaEquivalenceProperty, MatchesFloodFill) {
 std::vector<CcaPropertyCase> makeCcaCases() {
   std::vector<CcaPropertyCase> cases;
   for (int seed = 1; seed <= 8; ++seed) {
-    cases.push_back({seed, Connectivity::kEight});
-    cases.push_back({seed, Connectivity::kFour});
+    cases.push_back({seed, 48, 48});
+    cases.push_back({seed, 130, 37});
   }
   return cases;
 }

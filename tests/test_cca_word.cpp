@@ -3,9 +3,8 @@
 // components (boxes, pixel counts, deterministic order) and bit-identical
 // OpCounts (the closed-form per-pixel accounting must equal the
 // reference's metered values), across word-boundary widths, random
-// densities, all-set/all-clear rows, diagonal topologies under both
-// connectivities, minComponentPixels filtering, stale occupancy, and the
-// downsampled CountImage path.
+// densities, all-set/all-clear rows, diagonal topologies,
+// minComponentPixels filtering and stale occupancy.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
@@ -28,14 +27,15 @@ BinaryImage randomImage(int w, int h, double density, std::uint64_t seed) {
   return img;
 }
 
-void expectIdentical(const BinaryImage& img, const CcaConfig& config) {
+void expectIdentical(const BinaryImage& img, std::size_t minPixels = 1) {
+  CcaConfig config;
+  config.minComponentPixels = minPixels;
   CcaLabeler fast(config);
   CcaLabelerReference reference(config);
   const auto& got = fast.label(img);
   const auto& want = reference.label(img);
   ASSERT_EQ(got.size(), want.size())
-      << "image " << img.width() << "x" << img.height() << " conn "
-      << static_cast<int>(config.connectivity);
+      << "image " << img.width() << "x" << img.height();
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].box, want[i].box) << "component " << i;
     EXPECT_EQ(got[i].pixelCount, want[i].pixelCount) << "component " << i;
@@ -43,16 +43,6 @@ void expectIdentical(const BinaryImage& img, const CcaConfig& config) {
   EXPECT_EQ(fast.lastOps(), reference.lastOps())
       << "closed-form ops diverge from metered reference ("
       << img.width() << "x" << img.height() << ")";
-}
-
-void expectIdenticalBothConnectivities(const BinaryImage& img,
-                                       std::size_t minPixels = 1) {
-  for (Connectivity conn : {Connectivity::kEight, Connectivity::kFour}) {
-    CcaConfig config;
-    config.connectivity = conn;
-    config.minComponentPixels = minPixels;
-    expectIdentical(img, config);
-  }
 }
 
 TEST(CcaWordTest, MatchesReferenceAcrossWordBoundarySizes) {
@@ -63,7 +53,7 @@ TEST(CcaWordTest, MatchesReferenceAcrossWordBoundarySizes) {
   std::uint64_t seed = 1;
   for (int w : widths) {
     for (int h : heights) {
-      expectIdenticalBothConnectivities(randomImage(w, h, 0.3, seed++));
+      expectIdentical(randomImage(w, h, 0.3, seed++));
     }
   }
 }
@@ -71,22 +61,22 @@ TEST(CcaWordTest, MatchesReferenceAcrossWordBoundarySizes) {
 TEST(CcaWordTest, MatchesReferenceAcrossDensities) {
   std::uint64_t seed = 100;
   for (double density : {0.01, 0.05, 0.2, 0.5, 0.8, 0.95}) {
-    expectIdenticalBothConnectivities(randomImage(240, 180, density, seed++));
-    expectIdenticalBothConnectivities(randomImage(65, 40, density, seed++));
+    expectIdentical(randomImage(240, 180, density, seed++));
+    expectIdentical(randomImage(65, 40, density, seed++));
   }
 }
 
 TEST(CcaWordTest, AllClearAndAllSetFrames) {
   for (int w : {5, 63, 64, 65, 240}) {
     const int h = 20;
-    expectIdenticalBothConnectivities(BinaryImage(w, h));  // all clear
+    expectIdentical(BinaryImage(w, h));  // all clear
     BinaryImage full(w, h);
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
         full.set(x, y, true);
       }
     }
-    expectIdenticalBothConnectivities(full);  // one frame-sized component
+    expectIdentical(full);  // one frame-sized component
   }
 }
 
@@ -100,24 +90,24 @@ TEST(CcaWordTest, AlternatingFullAndEmptyRows) {
         img.set(x, y, true);
       }
     }
-    expectIdenticalBothConnectivities(img);
+    expectIdentical(img);
   }
 }
 
 TEST(CcaWordTest, SinglePixelDiagonalsAcrossWordBoundary) {
-  // A diagonal staircase is one component under 8-connectivity and N
-  // singletons under 4-connectivity; run it across the x=63/64 boundary.
+  // A diagonal staircase is one component under 8-connectivity; run it
+  // across the x=63/64 boundary.
   BinaryImage img(130, 40);
   for (int i = 0; i < 30; ++i) {
     img.set(50 + i, 5 + i, true);
   }
-  expectIdenticalBothConnectivities(img);
+  expectIdentical(img);
   // Anti-diagonal too: its merges come from the SE probe.
   BinaryImage anti(130, 40);
   for (int i = 0; i < 30; ++i) {
     anti.set(90 - i, 5 + i, true);
   }
-  expectIdenticalBothConnectivities(anti);
+  expectIdentical(anti);
 }
 
 TEST(CcaWordTest, MinComponentPixelsFiltering) {
@@ -125,7 +115,7 @@ TEST(CcaWordTest, MinComponentPixelsFiltering) {
   BinaryImage img = randomImage(240, 100, 0.1, 42);
   for (std::size_t minPixels : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}, std::size_t{10}}) {
-    expectIdenticalBothConnectivities(img, minPixels);
+    expectIdentical(img, minPixels);
   }
 }
 
@@ -143,7 +133,7 @@ TEST(CcaWordTest, UShapeMergesAcrossRuns) {
   for (int x = 60; x < 73; ++x) {
     img.set(x, 5, true);  // bridge
   }
-  expectIdenticalBothConnectivities(img);
+  expectIdentical(img);
 }
 
 TEST(CcaWordTest, StaleOccupancyRowsStayCorrect) {
@@ -162,7 +152,7 @@ TEST(CcaWordTest, StaleOccupancyRowsStayCorrect) {
       img.set(x, y, true);  // straddles the stale row
     }
   }
-  expectIdenticalBothConnectivities(img);
+  expectIdentical(img);
 }
 
 TEST(CcaWordTest, DeterministicOrderingAcrossRepeatedCalls) {
@@ -177,36 +167,6 @@ TEST(CcaWordTest, DeterministicOrderingAcrossRepeatedCalls) {
   for (std::size_t i = 1; i < first.size(); ++i) {
     EXPECT_FALSE(componentScanOrderLess(first[i], first[i - 1]))
         << "output not sorted at " << i;
-  }
-}
-
-TEST(CcaWordTest, DownsampledPathMatchesReference) {
-  std::uint64_t seed = 300;
-  for (double density : {0.05, 0.3, 0.8}) {
-    Rng rng(seed++);
-    CountImage down(40, 60);
-    for (int y = 0; y < 60; ++y) {
-      for (int x = 0; x < 40; ++x) {
-        if (rng.chance(density)) {
-          down.at(x, y) = static_cast<std::uint16_t>(rng.uniformInt(1, 18));
-        }
-      }
-    }
-    for (Connectivity conn : {Connectivity::kEight, Connectivity::kFour}) {
-      CcaConfig config;
-      config.connectivity = conn;
-      config.minComponentPixels = 2;
-      CcaLabeler fast(config);
-      CcaLabelerReference reference(config);
-      const auto& got = fast.labelDownsampled(down, 6, 3);
-      const auto& want = reference.labelDownsampled(down, 6, 3);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].box, want[i].box) << "component " << i;
-        EXPECT_EQ(got[i].pixelCount, want[i].pixelCount) << "component " << i;
-      }
-      EXPECT_EQ(fast.lastOps(), reference.lastOps());
-    }
   }
 }
 

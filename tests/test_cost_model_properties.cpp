@@ -3,6 +3,8 @@
 // operating point, not just the paper's.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/resource/cost_model.hpp"
 
 namespace ebbiot {
@@ -33,6 +35,12 @@ struct NnSweepCase {
   int bt;
 };
 
+// Names the ctest case after the values; the default would print the
+// struct's bytes, padding included, which differ between builds.
+void PrintTo(const NnSweepCase& c, std::ostream* os) {
+  *os << "alpha" << c.alpha << "_beta" << c.beta << "_bt" << c.bt;
+}
+
 class NnFiltCostSweep : public ::testing::TestWithParam<NnSweepCase> {};
 
 TEST_P(NnFiltCostSweep, LinearInEventCount) {
@@ -61,6 +69,10 @@ struct RpnSweepCase {
   int s1;
   int s2;
 };
+
+void PrintTo(const RpnSweepCase& c, std::ostream* os) {
+  *os << c.s1 << "x" << c.s2;
+}
 
 class RpnCostSweep : public ::testing::TestWithParam<RpnSweepCase> {};
 

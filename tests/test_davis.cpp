@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/events/stats.hpp"
 #include "src/sim/scene.hpp"
 
 namespace ebbiot {
@@ -164,22 +163,6 @@ TEST(LatchReadoutTest, LatchedNeverExceedsPixelCount) {
   const EventPacket out = latchReadout(p, 4, 4);
   EXPECT_LE(out.size(), 16U);
   EXPECT_EQ(out.size(), 16U);  // all 16 pixels fired at least once
-}
-
-TEST(LatchedSourceTest, WrapsAnInnerSource) {
-  ScriptedScene scene(240, 180);
-  scene.addLinear(ObjectClass::kCar, BBox{20, 60, 48, 22}, Vec2f{60, 0}, 0,
-                  secondsToUs(10.0));
-  DavisConfig c = quietConfig();
-  c.backgroundActivityHz = 1.0;
-  DavisSimulator raw(scene, c);
-  LatchedSource latched(raw);
-  EXPECT_EQ(latched.width(), 240);
-  EXPECT_EQ(latched.height(), 180);
-  const EventPacket p = latched.nextWindow(kDefaultFramePeriodUs);
-  // At most one event per pixel.
-  FrameStats stats = computeFrameStats(p, 240, 180);
-  EXPECT_EQ(stats.eventCount, stats.activePixels);
 }
 
 }  // namespace

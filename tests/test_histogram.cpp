@@ -82,13 +82,13 @@ TEST(HistogramBuilderTest, MatchesCellByCellProjectionAndOps) {
 
 TEST(FindRunsTest, NoRunsInFlatHistogram) {
   std::vector<HistogramRun> runs;
-  findRunsInto({0, 0, 0, 0}, 1, 0, runs);
+  findRunsInto({0, 0, 0, 0}, runs);
   EXPECT_TRUE(runs.empty());
 }
 
 TEST(FindRunsTest, SingleRun) {
   std::vector<HistogramRun> runs;
-  findRunsInto({0, 2, 3, 1, 0}, 1, 0, runs);
+  findRunsInto({0, 2, 3, 1, 0}, runs);
   ASSERT_EQ(runs.size(), 1U);
   EXPECT_EQ(runs[0].begin, 1);
   EXPECT_EQ(runs[0].end, 4);
@@ -98,7 +98,7 @@ TEST(FindRunsTest, SingleRun) {
 
 TEST(FindRunsTest, MultipleRunsSplitByGaps) {
   std::vector<HistogramRun> runs;
-  findRunsInto({1, 0, 2, 2, 0, 0, 5}, 1, 0, runs);
+  findRunsInto({1, 0, 2, 2, 0, 0, 5}, runs);
   ASSERT_EQ(runs.size(), 3U);
   EXPECT_EQ(runs[0].begin, 0);
   EXPECT_EQ(runs[0].end, 1);
@@ -110,42 +110,20 @@ TEST(FindRunsTest, MultipleRunsSplitByGaps) {
 
 TEST(FindRunsTest, RunsAtBothEnds) {
   std::vector<HistogramRun> runs;
-  findRunsInto({3, 0, 0, 4}, 1, 0, runs);
+  findRunsInto({3, 0, 0, 4}, runs);
   ASSERT_EQ(runs.size(), 2U);
   EXPECT_EQ(runs[0].begin, 0);
   EXPECT_EQ(runs[1].end, 4);
 }
 
-TEST(FindRunsTest, ThresholdFiltersWeakBins) {
-  std::vector<HistogramRun> runs;
-  findRunsInto({1, 1, 5, 5, 1}, 3, 0, runs);
-  ASSERT_EQ(runs.size(), 1U);
-  EXPECT_EQ(runs[0].begin, 2);
-  EXPECT_EQ(runs[0].end, 4);
-  EXPECT_EQ(runs[0].mass, 10U);
-}
-
-TEST(FindRunsTest, MaxGapBridgesShortGaps) {
-  // Gap of 1 bin between two runs: maxGap=1 merges them.
-  std::vector<HistogramRun> merged;
-  findRunsInto({2, 0, 2}, 1, 1, merged);
-  ASSERT_EQ(merged.size(), 1U);
-  EXPECT_EQ(merged[0].begin, 0);
-  EXPECT_EQ(merged[0].end, 3);
-  // Gap of 2 bins is not bridged by maxGap=1.
-  std::vector<HistogramRun> split;
-  findRunsInto({2, 0, 0, 2}, 1, 1, split);
-  EXPECT_EQ(split.size(), 2U);
-}
-
 TEST(FindRunsTest, EmptyHistogram) {
   std::vector<HistogramRun> runs;
-  findRunsInto({}, 1, 0, runs);
+  findRunsInto({}, runs);
   EXPECT_TRUE(runs.empty());
 }
 
-// Property: runs tile the above-threshold bins exactly, never overlap,
-// and are maximal.
+// Property: runs tile the non-zero bins exactly, never overlap, and are
+// maximal.
 class FindRunsProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(FindRunsProperty, RunsAreExactCover) {
@@ -154,9 +132,8 @@ TEST_P(FindRunsProperty, RunsAreExactCover) {
   for (auto& v : hist) {
     v = static_cast<std::uint32_t>(rng.uniformInt(0, 3));
   }
-  const std::uint32_t threshold = 2;
   std::vector<HistogramRun> runs;
-  findRunsInto(hist, threshold, 0, runs);
+  findRunsInto(hist, runs);
   std::vector<bool> covered(hist.size(), false);
   int prevEnd = -1;
   for (const HistogramRun& r : runs) {
@@ -164,7 +141,7 @@ TEST_P(FindRunsProperty, RunsAreExactCover) {
     EXPECT_LT(r.begin, r.end);
     std::uint64_t mass = 0;
     for (int i = r.begin; i < r.end; ++i) {
-      EXPECT_GE(hist[static_cast<std::size_t>(i)], threshold);
+      EXPECT_NE(hist[static_cast<std::size_t>(i)], 0U);
       covered[static_cast<std::size_t>(i)] = true;
       mass += hist[static_cast<std::size_t>(i)];
     }
@@ -172,7 +149,7 @@ TEST_P(FindRunsProperty, RunsAreExactCover) {
     prevEnd = r.end;
   }
   for (std::size_t i = 0; i < hist.size(); ++i) {
-    EXPECT_EQ(covered[i], hist[i] >= threshold) << "bin " << i;
+    EXPECT_EQ(covered[i], hist[i] != 0) << "bin " << i;
   }
 }
 

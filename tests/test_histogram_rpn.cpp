@@ -17,7 +17,52 @@ void fillBlock(BinaryImage& img, int x0, int y0, int w, int h) {
 }
 
 HistogramRpnConfig paperConfig() {
-  return HistogramRpnConfig{};  // s1=6, s2=3, threshold=1
+  return HistogramRpnConfig{};  // s1=6, s2=3
+}
+
+/// The unclamped candidate box of one X-run x Y-run intersection.
+BBox candidateBox(const HistogramRpn& rpn, const HistogramRun& rx,
+                  const HistogramRun& ry) {
+  const auto s1 = static_cast<float>(rpn.config().s1);
+  const auto s2 = static_cast<float>(rpn.config().s2);
+  return BBox{static_cast<float>(rx.begin) * s1,
+              static_cast<float>(ry.begin) * s2,
+              static_cast<float>(rx.length()) * s1,
+              static_cast<float>(ry.length()) * s2};
+}
+
+/// The ops propose() charges, rebuilt from its runs: the downsample and
+/// histogram passes and one compare per bin; then per candidate box its
+/// validity check (one add per pixel of the box and one compare) when
+/// `validated`, and its tightening scan (one read and one compare per
+/// pixel of the box) unless the check found the box empty.
+OpCounts expectedOps(const HistogramRpn& rpn, const BinaryImage& img,
+                     bool validated) {
+  Downsampler down(rpn.config().s1, rpn.config().s2);
+  CountImage counts;
+  down.downsampleInto(img, counts);
+  HistogramBuilder hist;
+  HistogramPair pair;
+  hist.buildInto(counts, pair);
+  OpCounts ops = down.lastOps() + hist.lastOps();
+  ops.compares += pair.hx.size() + pair.hy.size();
+  for (const HistogramRun& rx : rpn.lastRunsX()) {
+    for (const HistogramRun& ry : rpn.lastRunsY()) {
+      const BBox box =
+          clampToFrame(candidateBox(rpn, rx, ry), img.width(), img.height());
+      const auto area = static_cast<std::uint64_t>(box.area());
+      if (validated) {
+        ops.adds += area;
+        ops.compares += 1;
+        if (img.popcountInRegion(box) == 0) {
+          continue;
+        }
+      }
+      ops.memReads += area;
+      ops.compares += area;
+    }
+  }
+  return ops;
 }
 
 TEST(HistogramRpnTest, EmptyImageNoProposals) {
@@ -71,9 +116,7 @@ TEST(HistogramRpnTest, DiagonalObjectsValidityCheckSuppressesGhosts) {
   // Two objects in different X *and* Y bands create 4 X-run x Y-run
   // intersections; the two empty "ghost" corners must be rejected by the
   // original-image validity check (Section II-B).
-  HistogramRpnConfig config = paperConfig();
-  config.minValidPixels = 4;
-  HistogramRpn rpn(config);
+  HistogramRpn rpn(paperConfig());
   BinaryImage img(240, 180);
   fillBlock(img, 20, 30, 30, 20);
   fillBlock(img, 150, 120, 30, 20);
@@ -85,9 +128,8 @@ TEST(HistogramRpnTest, DiagonalObjectsValidityCheckSuppressesGhosts) {
 }
 
 TEST(HistogramRpnTest, GhostsSurviveWithoutValidation) {
-  // Control for the test above: with validation forced off via a huge
-  // run threshold... instead check alwaysValidate=false but single-axis
-  // ambiguity: two objects sharing a Y band produce no ghosts.
+  // Control for the test above: ambiguity on one axis only, two objects
+  // sharing a Y band, produces no ghosts.
   HistogramRpn rpn(paperConfig());
   BinaryImage img(240, 180);
   fillBlock(img, 20, 60, 30, 20);
@@ -100,7 +142,7 @@ TEST(HistogramRpnTest, GhostsSurviveWithoutValidation) {
 }
 
 TEST(HistogramRpnTest, SparseNoisePixelFormsTinyProposal) {
-  // A single pixel passes threshold 1; downstream the tracker's
+  // A single pixel makes its bins non-zero; downstream the tracker's
   // minSeedArea guards against it.  The RPN itself reports it, tightened
   // to the pixel.
   HistogramRpn rpn(paperConfig());
@@ -109,27 +151,6 @@ TEST(HistogramRpnTest, SparseNoisePixelFormsTinyProposal) {
   const RegionProposals props = rpn.propose(img);
   ASSERT_EQ(props.size(), 1U);
   EXPECT_EQ(props[0].box, (BBox{100, 100, 1, 1}));
-}
-
-TEST(HistogramRpnTest, UntightenedBoxesPadToBlocks) {
-  HistogramRpnConfig config = paperConfig();
-  config.tightenBoxes = false;
-  HistogramRpn rpn(config);
-  BinaryImage img(240, 180);
-  img.set(100, 100, true);
-  const RegionProposals props = rpn.propose(img);
-  ASSERT_EQ(props.size(), 1U);
-  EXPECT_FLOAT_EQ(props[0].box.w, 6.0F);   // one block
-  EXPECT_FLOAT_EQ(props[0].box.h, 3.0F);
-}
-
-TEST(HistogramRpnTest, HigherThresholdSuppressesThinRows) {
-  HistogramRpnConfig config = paperConfig();
-  config.threshold = 3;
-  HistogramRpn rpn(config);
-  BinaryImage img(240, 180);
-  img.set(100, 100, true);  // mass 1 per histogram bin < 3
-  EXPECT_TRUE(rpn.propose(img).empty());
 }
 
 TEST(HistogramRpnTest, IntermediatesExposed) {
@@ -197,36 +218,98 @@ TEST(HistogramRpnTest, OpsOrderMatchesEq5) {
   EXPECT_NEAR(measured / model, 1.0, 0.10);
 }
 
-TEST(HistogramRpnTest, MaxGapBridgesWiderFragmentation) {
-  HistogramRpnConfig config = paperConfig();
-  config.maxGap = 2;
-  HistogramRpn rpn(config);
-  BinaryImage img(240, 180);
-  fillBlock(img, 60, 60, 18, 24);
-  fillBlock(img, 90, 60, 18, 24);  // 12 px gap = 2 blocks
-  const RegionProposals props = rpn.propose(img);
-  ASSERT_EQ(props.size(), 1U);
-  EXPECT_GE(props[0].box.w, 48.0F);
-}
-
 TEST(HistogramRpnTest, InvalidConfigRejected) {
   HistogramRpnConfig bad = paperConfig();
-  bad.threshold = 0;
+  bad.s1 = 0;
   EXPECT_THROW(HistogramRpn{bad}, LogicError);
   HistogramRpnConfig bad2 = paperConfig();
-  bad2.minValidPixels = 0;
+  bad2.s2 = 0;
   EXPECT_THROW(HistogramRpn{bad2}, LogicError);
 }
 
-// Property: every proposal lies inside the frame and contains at least
-// one set pixel when validation is on.
+TEST(HistogramRpnTest, ValidationRunsOnlyWhenBothAxesHoldSeveralRuns) {
+  // The validity check charges one add per pixel of each candidate box,
+  // so the ops hold those areas exactly when both axes are ambiguous.
+  struct Scene {
+    const char* name;
+    std::vector<BBox> blocks;
+    std::size_t runsX;
+    std::size_t runsY;
+  };
+  const Scene scenes[] = {
+      {"one object", {BBox{60, 60, 48, 24}}, 1, 1},
+      {"side by side", {BBox{20, 60, 30, 20}, BBox{150, 60, 30, 20}}, 2, 1},
+      {"stacked", {BBox{60, 20, 30, 20}, BBox{60, 120, 30, 20}}, 1, 2},
+      {"diagonal", {BBox{20, 30, 30, 20}, BBox{150, 120, 30, 20}}, 2, 2},
+      {"three corners",
+       {BBox{20, 30, 30, 20}, BBox{150, 30, 30, 20}, BBox{20, 120, 30, 20}},
+       2, 2},
+  };
+  for (const Scene& scene : scenes) {
+    SCOPED_TRACE(scene.name);
+    HistogramRpn rpn(paperConfig());
+    BinaryImage img(240, 180);
+    for (const BBox& b : scene.blocks) {
+      fillBlock(img, static_cast<int>(b.x), static_cast<int>(b.y),
+                static_cast<int>(b.w), static_cast<int>(b.h));
+    }
+    (void)rpn.propose(img);
+    ASSERT_EQ(rpn.lastRunsX().size(), scene.runsX);
+    ASSERT_EQ(rpn.lastRunsY().size(), scene.runsY);
+    const bool ambiguous = scene.runsX > 1 && scene.runsY > 1;
+    EXPECT_EQ(rpn.lastOps(), expectedOps(rpn, img, ambiguous));
+    EXPECT_NE(rpn.lastOps(), expectedOps(rpn, img, !ambiguous));
+  }
+}
+
+TEST(HistogramRpnTest, SupportIsPixelCountWhenValidatedElseSmallerRunMass) {
+  // Three corners of a 2 x 2 run grid: the fourth intersection is a ghost,
+  // and the bottom-left object shares its X-run and its Y-run with the
+  // others, so its pixel count (600) is below both run masses (1200).
+  BinaryImage corners(240, 180);
+  fillBlock(corners, 18, 30, 30, 20);
+  fillBlock(corners, 150, 30, 30, 20);
+  fillBlock(corners, 18, 120, 30, 20);
+  // One Y-run: no validation.
+  BinaryImage row(240, 180);
+  fillBlock(row, 18, 60, 30, 20);
+  fillBlock(row, 150, 60, 12, 10);
+  for (const BinaryImage* img : {&corners, &row}) {
+    HistogramRpn rpn(paperConfig());
+    const RegionProposals& props = rpn.propose(*img);
+    const bool validated =
+        rpn.lastRunsX().size() > 1 && rpn.lastRunsY().size() > 1;
+    std::size_t matched = 0;
+    for (const HistogramRun& rx : rpn.lastRunsX()) {
+      for (const HistogramRun& ry : rpn.lastRunsY()) {
+        const BBox candidate = candidateBox(rpn, rx, ry);
+        const std::size_t pixels = img->popcountInRegion(candidate);
+        for (const RegionProposal& p : props) {
+          if (iou(p.box, candidate) <= 0.0F) {
+            continue;  // another intersection's proposal
+          }
+          ++matched;
+          EXPECT_EQ(p.support,
+                    validated ? pixels : std::min(rx.mass, ry.mass));
+        }
+      }
+    }
+    EXPECT_EQ(matched, props.size());
+    EXPECT_EQ(props.size(), validated ? 3U : 2U);
+  }
+  HistogramRpn rpn(paperConfig());
+  EXPECT_EQ(rpn.propose(corners)[0].support, 600U);
+  EXPECT_EQ(rpn.lastRunsX()[0].mass, 1200U);
+  EXPECT_EQ(rpn.lastRunsY()[0].mass, 1200U);
+}
+
+// Property: every proposal lies inside the frame and, tightened to its
+// set pixels, contains at least one.
 class RpnContainmentProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RpnContainmentProperty, ProposalsValidAndInFrame) {
   const int seed = GetParam();
-  HistogramRpnConfig config;
-  config.alwaysValidate = true;
-  HistogramRpn rpn(config);
+  HistogramRpn rpn(paperConfig());
   BinaryImage img(240, 180);
   std::uint64_t s = static_cast<std::uint64_t>(seed) * 2654435761ULL + 1;
   auto next = [&s] {
@@ -254,6 +337,40 @@ TEST_P(RpnContainmentProperty, ProposalsValidAndInFrame) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RpnContainmentProperty,
                          ::testing::Range(1, 13));
+
+// Property: on random scenes of blocks and noise, every proposal is the
+// tight bounding box of the set pixels it holds.
+class RpnTightBoxProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(RpnTightBoxProperty, ProposalIsTightBoxOfItsPixels) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  HistogramRpn rpn(paperConfig());
+  for (int frame = 0; frame < 8; ++frame) {
+    BinaryImage img(240, 180);
+    const int blocks = static_cast<int>(rng.uniformInt(0, 5));
+    for (int b = 0; b < blocks; ++b) {
+      const int x0 = static_cast<int>(rng.uniformInt(0, 230));
+      const int y0 = static_cast<int>(rng.uniformInt(0, 170));
+      fillBlock(img, x0, y0,
+                std::min(static_cast<int>(rng.uniformInt(1, 50)), 240 - x0),
+                std::min(static_cast<int>(rng.uniformInt(1, 30)), 180 - y0));
+    }
+    const int noise = static_cast<int>(rng.uniformInt(0, 60));
+    for (int i = 0; i < noise; ++i) {
+      img.set(static_cast<int>(rng.uniformInt(0, 239)),
+              static_cast<int>(rng.uniformInt(0, 179)), true);
+    }
+    for (const RegionProposal& p : rpn.propose(img)) {
+      ASSERT_FALSE(p.box.empty());
+      const BBox tight = img.tightBoundingBoxInRegion(
+          static_cast<int>(p.box.left()), static_cast<int>(p.box.bottom()),
+          static_cast<int>(p.box.right()), static_cast<int>(p.box.top()));
+      EXPECT_EQ(p.box, tight) << "frame " << frame;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RpnTightBoxProperty, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace ebbiot

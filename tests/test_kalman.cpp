@@ -89,12 +89,12 @@ TEST(ConstantVelocityKalmanTest, NoisyMeasurementsSmoothed) {
 
 TEST(ConstantVelocityKalmanTest, CovarianceShrinksWithUpdates) {
   ConstantVelocityKalman kf(Vec2f{0, 0}, KalmanConfig{});
-  const double before = kf.covariance(0).d;  // velocity variance
+  const double before = kf.covariance().d;  // velocity variance
   for (int f = 1; f <= 10; ++f) {
     kf.predict();
     kf.update(Vec2f{1.0F * static_cast<float>(f), 0.0F});
   }
-  EXPECT_LT(kf.covariance(0).d, before);
+  EXPECT_LT(kf.covariance().d, before);
 }
 
 TEST(ConstantVelocityKalmanTest, InnovationReported) {
@@ -429,6 +429,18 @@ bool sameCovariance(const ConstantVelocityKalman::Covariance& a,
          sameBits(a.d, b.d);
 }
 
+/// The x and y diagonal blocks of a filter's covariance: the per-axis
+/// filter's one shared block twice, the dense reference's two blocks.
+std::array<ConstantVelocityKalman::Covariance, 2> axisBlocks(
+    const ConstantVelocityKalman& kf) {
+  return {kf.covariance(), kf.covariance()};
+}
+
+std::array<ConstantVelocityKalman::Covariance, 2> axisBlocks(
+    const DenseKalman& kf) {
+  return {kf.covariance(0), kf.covariance(1)};
+}
+
 /// Position, velocity, both covariance blocks and the innovation agree
 /// to the bit.
 template <typename A, typename B>
@@ -444,10 +456,10 @@ template <typename A, typename B>
       !sameBits(a.velocity().y, b.velocity().y)) {
     return differs("velocity");
   }
-  if (!sameCovariance(a.covariance(0), b.covariance(0))) {
+  if (!sameCovariance(axisBlocks(a)[0], axisBlocks(b)[0])) {
     return differs("x covariance");
   }
-  if (!sameCovariance(a.covariance(1), b.covariance(1))) {
+  if (!sameCovariance(axisBlocks(a)[1], axisBlocks(b)[1])) {
     return differs("y covariance");
   }
   if (!sameBits(a.lastInnovation(), b.lastInnovation())) {
@@ -472,7 +484,8 @@ void expectPinnedSequence(const KalmanConfig& config,
     EXPECT_TRUE(sameBits(kf.velocity().x, e.velocity.x));
     EXPECT_TRUE(sameBits(kf.velocity().y, e.velocity.y));
     for (int axis = 0; axis < 2; ++axis) {
-      const ConstantVelocityKalman::Covariance& got = kf.covariance(axis);
+      const ConstantVelocityKalman::Covariance got =
+          axisBlocks(kf)[static_cast<std::size_t>(axis)];
       const ConstantVelocityKalman::Covariance& want = axis == 0 ? e.x : e.y;
       EXPECT_TRUE(sameBits(got.a, want.a)) << "axis " << axis;
       EXPECT_TRUE(sameBits(got.b, want.b)) << "axis " << axis;
@@ -497,9 +510,10 @@ TEST(DenseKalmanReferenceTest, ReproducesRecordedMatrixForm) {
 }
 
 // Property: over random configurations, starts and predict/update mixes
-// the per-axis filter equals the dense recursion bit for bit, and the
-// dense form's cross-axis covariances stay exactly zero (the premise of
-// the per-axis split).
+// the per-axis filter equals the dense recursion bit for bit: both of the
+// dense form's diagonal blocks equal the one shared block, and its
+// cross-axis covariances stay exactly zero (the premises of the per-axis
+// split).
 class KalmanDenseReferenceProperty : public ::testing::TestWithParam<int> {
 };
 
@@ -543,10 +557,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KalmanDenseReferenceProperty,
 
 TEST(ConstantVelocityKalmanTest, InitialCovarianceFromConfig) {
   const ConstantVelocityKalman kf(Vec2f{10, 20}, KalmanConfig{0.5, 2.0, 5.0});
-  for (int axis = 0; axis < 2; ++axis) {
-    EXPECT_TRUE(sameCovariance(kf.covariance(axis), {4.0, 0.0, 0.0, 25.0}))
-        << "axis " << axis;
-  }
+  EXPECT_TRUE(sameCovariance(kf.covariance(), {4.0, 0.0, 0.0, 25.0}));
   EXPECT_EQ(kf.velocity(), (Vec2f{0, 0}));
   EXPECT_EQ(kf.lastInnovation(), 0.0);
 }
@@ -577,8 +588,7 @@ TEST(ConstantVelocityKalmanTest, AxesEvolveIndependently) {
 
 TEST(ConstantVelocityKalmanTest, CovarianceIgnoresMeasurementValues) {
   // P depends only on the config and the predict/update pattern: filters
-  // fed different measurements on the same pattern agree, and both axes
-  // carry the same block.
+  // fed different measurements on the same pattern agree.
   Rng rng(7);
   const KalmanConfig config{0.3, 1.5, 8.0};
   ConstantVelocityKalman a(Vec2f{0, 0}, config);
@@ -592,11 +602,7 @@ TEST(ConstantVelocityKalmanTest, CovarianceIgnoresMeasurementValues) {
       b.update(Vec2f{static_cast<float>(rng.uniform(0.0, 240.0)),
                      static_cast<float>(rng.uniform(0.0, 180.0))});
     }
-    for (int axis = 0; axis < 2; ++axis) {
-      EXPECT_TRUE(sameCovariance(a.covariance(axis), b.covariance(axis)))
-          << "frame " << f << " axis " << axis;
-    }
-    EXPECT_TRUE(sameCovariance(a.covariance(0), a.covariance(1)))
+    EXPECT_TRUE(sameCovariance(a.covariance(), b.covariance()))
         << "frame " << f;
   }
 }
@@ -619,12 +625,6 @@ TEST(ConstantVelocityKalmanTest, CopyEvolvesIndependently) {
   EXPECT_TRUE(sameState(original, copy));
 }
 
-TEST(ConstantVelocityKalmanTest, CovarianceAxisOutOfRangeThrows) {
-  const ConstantVelocityKalman kf(Vec2f{0, 0}, KalmanConfig{});
-  EXPECT_THROW((void)kf.covariance(-1), LogicError);
-  EXPECT_THROW((void)kf.covariance(2), LogicError);
-}
-
 TEST(ConstantVelocityKalmanTest, SingularUpdateThrowsAndLeavesStateUnchanged) {
   // All-zero noise keeps P at zero, so each axis' pivot a + r is zero; a
   // 1e-7 px measurement sigma makes it 2e-14, still below 1e-12.
@@ -634,7 +634,7 @@ TEST(ConstantVelocityKalmanTest, SingularUpdateThrowsAndLeavesStateUnchanged) {
     EXPECT_THROW(kf.update(Vec2f{12, 21}), LogicError) << sigma;
     EXPECT_EQ(kf.position(), (Vec2f{10, 20}));
     EXPECT_EQ(kf.velocity(), (Vec2f{0, 0}));
-    EXPECT_EQ(kf.covariance(1).a, sigma * sigma);
+    EXPECT_EQ(kf.covariance().a, sigma * sigma);
     EXPECT_EQ(kf.lastInnovation(), 0.0);
   }
 }

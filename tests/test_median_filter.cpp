@@ -4,6 +4,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/core/front_end.hpp"
 
 namespace ebbiot {
 namespace {
@@ -68,8 +69,14 @@ TEST(MedianFilterTest, PatchSizeOneIsIdentity) {
 }
 
 TEST(MedianFilterTest, EvenPatchSizeRejected) {
-  EXPECT_THROW(MedianFilter(2), LogicError);
-  EXPECT_THROW(MedianFilter(0), LogicError);
+  // Only p = 1 and the paper's p = 3 are built; every other size throws,
+  // also through the front end's config.
+  for (int patch : {0, 2, 4, 5, 7}) {
+    EXPECT_THROW(MedianFilter{patch}, LogicError) << patch;
+  }
+  FrontEndConfig config;
+  config.medianPatch = 5;
+  EXPECT_THROW(FrameFrontEnd{config}, LogicError);
 }
 
 TEST(MedianFilterTest, ApplyIntoShapeMismatchThrows) {

@@ -173,11 +173,9 @@ TEST(MedianFilterWordTest, ReusedOutputIsOverwrittenCompletely) {
 }
 
 TEST(MedianFilterWordTest, ScalarFallbackPatchSizesMatchReference) {
-  std::uint64_t seed = 500;
-  for (int patch : {1, 5, 7}) {
-    expectIdentical(randomImage(97, 33, 0.4, seed++), patch);
-    expectIdentical(randomImage(64, 16, 0.2, seed++), patch);
-  }
+  // The one patch size beside the 3x3 kernel: p = 1, the identity copy.
+  expectIdentical(randomImage(97, 33, 0.4, 500), 1);
+  expectIdentical(randomImage(64, 16, 0.2, 501), 1);
 }
 
 TEST(MedianFilterWordTest, QuietSceneDirtyBandSeedStaysIdentical) {

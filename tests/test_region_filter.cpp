@@ -73,18 +73,6 @@ TEST(RegionFilterTest, KeepsOrderAndDropsOnlyRejected) {
   EXPECT_EQ(filter.lastRejectedCount(), 1U);
 }
 
-TEST(RegionFilterTest, BypassPassesEverythingButStillMeters) {
-  BinaryImage img(240, 180);
-  img.set(100, 100, true);
-  RegionFilterConfig config;
-  config.bypass = true;
-  RegionFilter filter{config};
-  const RegionProposals out =
-      filter.apply(img, {proposalOf(BBox{98, 98, 8, 8})});
-  EXPECT_EQ(out.size(), 1U);
-  EXPECT_GT(filter.lastOps().total(), 0U);  // cost ablations still priced
-}
-
 TEST(RegionFilterTest, EmptyBoxesAreDropped) {
   BinaryImage img(240, 180);
   RegionFilter filter{RegionFilterConfig{}};
