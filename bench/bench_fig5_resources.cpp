@@ -41,11 +41,11 @@ int main() {
   using namespace ebbiot;
   const double seconds = benchSeconds();
 
-  // --- Measured side: one run sweeps every registered variant, with
-  // the variants sharded across the scheduler's stage graph (threads = 0
-  // resolves to the hardware width; the front end of window N+1 overlaps
-  // the pipeline evaluations of window N).  The RunResult is
-  // bit-identical to the serial run, so every number below is too.
+  // --- Measured side: one run sweeps every registered variant, each
+  // variant a serial chain beside the front end's (threads = 0 resolves
+  // to the hardware width; the front end runs up to 3 windows ahead of
+  // the slowest pipeline).  The RunResult is bit-identical to the serial
+  // run, so every number below is too.
   RecordingSpec spec = makeSyntheticEng();
   spec.durationS = seconds;
   Recording rec = openRecording(spec);

@@ -932,7 +932,7 @@ BENCHMARK(BM_LatchEng);
 void BM_RunRecordingRegistry(benchmark::State& state) {
   // The full evaluation harness: all registered variants over a short
   // synthetic ENG slice on the benchmark arg's thread count.  threads=1
-  // is the serial loop, higher counts the stage graph —
+  // is the serial loop, higher counts the runner's chain schedule —
   // tools/bench_micro_json.py turns this grid into the thread-scaling
   // section of BENCH_micro.json.
   const auto threads = static_cast<int>(state.range(0));

@@ -1,15 +1,16 @@
 // Clang Thread Safety Analysis annotations + annotated lock primitives.
 //
-// The scheduler and the pipelined runner rely on two kinds of concurrency
-// discipline: lock-protected shared state (the task queue, the task
-// nodes' successor lists) and lock-free ownership by construction (each
-// accumulator touched by exactly one task chain).  The first kind is
-// checkable at compile time: Clang's -Wthread-safety analysis proves that
-// every access to a GUARDED_BY field happens with its capability held,
-// turning "we always take the lock here" from convention into a build
-// break.  The static-analysis CI leg compiles the tree with Clang and
-// -Wthread-safety -Werror; on GCC (the default local toolchain) every
-// macro expands to nothing and the wrappers degrade to the std types.
+// The pool and the runner's chain schedule rely on two kinds of
+// concurrency discipline: lock-protected shared state (the pool's ticket
+// queue, the schedule's per-chain counters) and lock-free ownership by
+// construction (each accumulator touched by exactly one chain).  The
+// first kind is checkable at compile time: Clang's -Wthread-safety
+// analysis proves that every access to a GUARDED_BY field happens with
+// its capability held, turning "we always take the lock here" from
+// convention into a build break.  The static-analysis CI leg compiles
+// the tree with Clang and -Wthread-safety -Werror; on GCC (the default
+// local toolchain) every macro expands to nothing and the wrappers
+// degrade to the std types.
 //
 // Use the annotated `Mutex` / `MutexLock` / `CondVar` wrappers below for
 // any new lock: plain std::mutex is invisible to the analysis, so fields

@@ -2,15 +2,158 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 #include <set>
-#include <type_traits>
+#include <thread>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_annotations.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/events/pixel_latch.hpp"
 
 namespace ebbiot {
+
+namespace {
+
+/// Frame slots in flight at threads >= 2: the front end runs at most
+/// this many frames ahead of the slowest pipeline.
+constexpr std::size_t kSlots = 3;
+
+/// Empty probes an idle thread makes before it parks.
+constexpr int kSpinsBeforePark = 64;
+
+/// The schedule of runRecording at threads >= 2: P + 1 serial chains.
+/// Chain 0 is the front end F(0) -> F(1) -> ..., chain i + 1 is pipeline
+/// i's B_i(0) -> B_i(1) -> ...  F(f) fills frame slot f % kSlots, so it
+/// runs once F(f - 1) is done and every pipeline has finished frame
+/// f - kSlots; B_i(f) reads that slot, so it runs once F(f) and
+/// B_i(f - 1) are done.  Every thread of the run calls participate(),
+/// which claims and retires steps under the one mutex and runs them
+/// without it.  Policy: a thread keeps to the chain it ran last while
+/// that chain's next step is ready; otherwise it runs the front end, if
+/// its slot is free; otherwise the ready pipeline that is furthest
+/// behind.  A thread with nothing ready spins through kSpinsBeforePark
+/// probes, then parks until a step retires or fails.
+class ChainSchedule {
+ public:
+  static constexpr std::size_t kFrontEnd = 0;
+
+  ChainSchedule(std::size_t pipelines, std::size_t frames)
+      : frames_(frames), done_(pipelines + 1, 0), busy_(pipelines + 1, 0) {
+    EBBIOT_ASSERT(pipelines > 0);
+  }
+
+  /// Run steps, runStep(chain, frame), until every chain has run `frames`
+  /// of them.  A step's exception stops the schedule and propagates from
+  /// the thread that ran it; the other threads return once their running
+  /// steps finish.
+  template <typename RunStep>
+  void participate(const RunStep& runStep) EBBIOT_EXCLUDES(mutex_) {
+    std::size_t chain = kNone;  // the chain this thread ran last, if any
+    std::size_t frame = 0;
+    int idle = 0;
+    for (;;) {
+      {
+        MutexLock lock(mutex_);
+        if (chain != kNone) {
+          busy_[chain] = 0;
+          ++done_[chain];
+          wakeParked();
+        }
+        chain = pick(chain);
+        if (chain == kNone && ++idle > kSpinsBeforePark) {
+          ++parked_;
+          while (chain == kNone && !over()) {
+            wake_.wait(lock);
+            chain = pick(kNone);
+          }
+          --parked_;
+        }
+        if (chain == kNone && over()) {
+          return;
+        }
+        if (chain != kNone) {
+          busy_[chain] = 1;
+          frame = done_[chain];
+        }
+      }
+      if (chain == kNone) {
+        std::this_thread::yield();
+        continue;
+      }
+      idle = 0;
+      try {
+        runStep(chain, frame);
+      } catch (...) {
+        const MutexLock lock(mutex_);
+        failed_ = true;
+        wakeParked();
+        throw;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  [[nodiscard]] std::size_t slowestPipeline() const EBBIOT_REQUIRES(mutex_) {
+    return *std::min_element(done_.begin() + 1, done_.end());
+  }
+
+  [[nodiscard]] bool ready(std::size_t chain) const EBBIOT_REQUIRES(mutex_) {
+    if (busy_[chain] != 0) {
+      return false;
+    }
+    if (chain != kFrontEnd) {
+      return done_[chain] < done_[kFrontEnd];
+    }
+    return done_[kFrontEnd] < std::min(frames_, slowestPipeline() + kSlots);
+  }
+
+  [[nodiscard]] std::size_t pick(std::size_t last) const
+      EBBIOT_REQUIRES(mutex_) {
+    if (failed_) {
+      return kNone;
+    }
+    if (last != kNone && ready(last)) {
+      return last;
+    }
+    if (ready(kFrontEnd)) {
+      return kFrontEnd;
+    }
+    std::size_t next = kNone;
+    for (std::size_t c = kFrontEnd + 1; c < done_.size(); ++c) {
+      if (ready(c) && (next == kNone || done_[c] < done_[next])) {
+        next = c;
+      }
+    }
+    return next;
+  }
+
+  /// Whether no step will be claimed again.
+  [[nodiscard]] bool over() const EBBIOT_REQUIRES(mutex_) {
+    return failed_ || slowestPipeline() == frames_;
+  }
+
+  void wakeParked() EBBIOT_REQUIRES(mutex_) {
+    if (parked_ > 0) {
+      wake_.notifyAll();
+    }
+  }
+
+  const std::size_t frames_;
+  Mutex mutex_;
+  CondVar wake_;
+  /// Steps each chain has run: chain c's next step is frame done_[c].
+  std::vector<std::size_t> done_ EBBIOT_GUARDED_BY(mutex_);
+  /// Non-zero while a thread runs chain c's next step.
+  std::vector<char> busy_ EBBIOT_GUARDED_BY(mutex_);
+  int parked_ EBBIOT_GUARDED_BY(mutex_) = 0;
+  bool failed_ EBBIOT_GUARDED_BY(mutex_) = false;
+};
+
+}  // namespace
 
 const PipelineRunStats* RunResult::stats(std::string_view name) const {
   const auto it =
@@ -103,15 +246,15 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
         return p->inputDomain() == InputDomain::kLatchedFrame;
       });
 
-  // Chain-owned accumulators, promoted from comments to types.  The stage
-  // graph runs without locks, so every mutable accumulator must belong to
-  // exactly ONE serial task chain: FrontEndAccum is written only by the
-  // front-end chain F(0) -> F(1) -> ..., chains[i] only by pipeline i's
-  // chain B_i(0) -> B_i(1) -> ...  The chains synchronise through task
-  // dependencies alone; the fold into the shared RunResult happens after
-  // every chain has drained.  (Lock-free ownership is not expressible as
-  // a GUARDED_BY annotation — the structs make it structural instead, and
-  // tests/test_runner_threads.cpp pins the resulting determinism.)
+  // Chain-owned accumulators, promoted from comments to types.  The
+  // chains run steps without a lock, so every mutable accumulator must
+  // belong to exactly ONE serial chain: FrontEndAccum is written only by
+  // the front-end chain F(0) -> F(1) -> ..., chains[i] only by pipeline
+  // i's chain B_i(0) -> B_i(1) -> ...  The chains synchronise through the
+  // schedule alone; the fold into the shared RunResult happens after
+  // every chain has finished.  (Lock-free ownership is not expressible
+  // as a GUARDED_BY annotation — the structs make it structural instead,
+  // and tests/test_runner_threads.cpp pins the resulting determinism.)
   struct FrontEndAccum {
     std::uint64_t streamEvents = 0;
     std::uint64_t latchedEvents = 0;
@@ -141,15 +284,15 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
 
   const std::size_t pipelineCount = pipelines.size();
 
-  // Sensor geometry snapshot: under the stage graph the evaluation tasks
-  // run concurrently with the front-end chain drawing the next window,
-  // so they must not touch the (stateful) source at all.
+  // Sensor geometry snapshot: at threads >= 2 the pipeline chains run
+  // concurrently with the front-end chain drawing the next window, so
+  // they must not touch the (stateful) source at all.
   const int width = source.width();
   const int height = source.height();
 
   // One window's shared inputs.  The serial loop reuses a single slot;
-  // the stage graph keeps a small ring of them so the front end can run
-  // ahead of the evaluations.
+  // the chains keep a ring of kSlots so the front end can run ahead of
+  // the evaluations.
   struct FrameSlot {
     EventPacket stream;
     EventPacket latched;
@@ -159,7 +302,7 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
   // Front end of one window: stream draw, GT annotation, latch readout,
   // stream-stat accumulation.  Strictly sequential along frames (the
   // source is stateful), so every accumulator it touches — the latch
-  // included — is updated in frame order regardless of which worker runs
+  // included — is updated in frame order regardless of which thread runs
   // it.
   PixelLatch latch(width, height);
   auto frontEnd = [&](FrameSlot& slot) {
@@ -212,11 +355,11 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
     ++stats.frames;
   };
 
-  // One task per pipeline per window: pipeline i's state, stats slot and
-  // GT match are touched only by this task, tasks of the same pipeline
-  // are chained in frame order, and the window inputs they read are
-  // frozen until every evaluation of that window finished — the
-  // RunResult is identical for every thread count and schedule.
+  // One step per pipeline per window: pipeline i's state, stats slot and
+  // GT match are touched only by its chain, whose steps run in frame
+  // order, and the window inputs they read are frozen until every
+  // evaluation of that window finished — the RunResult is identical for
+  // every thread count and schedule.
   auto processPipeline = [&](std::size_t i, const FrameSlot& slot) {
     Pipeline& pipeline = *pipelines[i];
     PipelineAccum& accum = chains[i];
@@ -230,8 +373,8 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
     evaluate(accum.stats, tracks, slot.gt);
   };
 
-  // More threads than stages is pointless: a window has one task per
-  // pipeline, plus the overlapped front end of the next window.
+  // More threads than chains is pointless: one per pipeline, plus the
+  // front end.
   const int threadCount =
       std::min(ThreadPool::resolveThreadCount(config.threads),
                static_cast<int>(pipelineCount) + 1);
@@ -246,84 +389,22 @@ RunResult runRecording(EventSource& source, const SceneProvider& scene,
       }
     }
   } else {
-    // Stage graph: the front-end chain F(0) -> F(1) -> ... runs
-    // concurrently with the per-pipeline chains B_i; B_i(f) depends on
-    // F(f) (its inputs) and B_i(f-1) (the pipeline's own state).  A
-    // ring of frame slots decouples the chains: slot f % kSlots is
-    // reused only after every evaluation of frame f - kSlots completed,
-    // which also bounds how far the front end runs ahead.
-    ThreadPool pool(threadCount);
-    constexpr std::size_t kSlots = 3;
     std::array<FrameSlot, kSlots> slots;
-    // One record per (slot, pipeline), so a pipeline task's closure is
-    // two pointers: std::function keeps it inline instead of allocating.
-    struct PipelineJob {
-      std::size_t pipeline;
-      const FrameSlot* slot;
-    };
-    std::vector<PipelineJob> jobs;
-    jobs.reserve(kSlots * pipelineCount);
-    for (const FrameSlot& slot : slots) {
-      for (std::size_t i = 0; i < pipelineCount; ++i) {
-        jobs.push_back({i, &slot});
-      }
-    }
-    std::array<std::vector<TaskHandle>, kSlots> slotUsers;
-    TaskHandle frontPrev;
-    std::vector<TaskHandle> pipePrev(pipelineCount);
-    std::exception_ptr error;
-    auto drain = [&](const TaskHandle& handle) {
-      try {
-        pool.wait(handle);
-      } catch (...) {
-        if (!error) {
-          error = std::current_exception();
+    ChainSchedule schedule(pipelineCount, frameLimit);
+    ThreadPool pool(threadCount);
+    pool.parallelFor(static_cast<std::size_t>(threadCount), [&](std::size_t) {
+      schedule.participate([&](std::size_t chain, std::size_t frame) {
+        FrameSlot& slot = slots[frame % kSlots];
+        if (chain == ChainSchedule::kFrontEnd) {
+          frontEnd(slot);
+        } else {
+          processPipeline(chain - 1, slot);
         }
-      }
-    };
-    for (std::size_t frame = 0; frame < frameLimit && !error; ++frame) {
-      const std::size_t s = frame % kSlots;
-      for (const TaskHandle& user : slotUsers[s]) {
-        drain(user);
-      }
-      slotUsers[s].clear();
-      if (error) {
-        break;  // abandon remaining windows; outstanding tasks drain below
-      }
-      FrameSlot& slot = slots[s];
-      TaskHandle front = pool.submit([&frontEnd, &slot] { frontEnd(slot); },
-                                     {frontPrev});
-      for (std::size_t i = 0; i < pipelineCount; ++i) {
-        auto run = [&processPipeline, job = &jobs[s * pipelineCount + i]] {
-          processPipeline(job->pipeline, *job->slot);
-        };
-        static_assert(sizeof(run) <= 2 * sizeof(void*) &&
-                          std::is_trivially_copyable_v<decltype(run)>,
-                      "pipeline task must fit std::function's inline buffer");
-        TaskHandle task = pool.submit(run, {front, pipePrev[i]});
-        pipePrev[i] = task;
-        slotUsers[s].push_back(std::move(task));
-      }
-      frontPrev = std::move(front);
-    }
-    // Every submitted task references stack state; drain them all before
-    // leaving the scope (dependencies complete regardless of errors, so
-    // this cannot deadlock), then surface the first failure.
-    drain(frontPrev);
-    for (const TaskHandle& task : pipePrev) {
-      drain(task);
-    }
-    for (const auto& users : slotUsers) {
-      for (const TaskHandle& user : users) {
-        drain(user);
-      }
-    }
-    if (error) {
-      std::rethrow_exception(error);
-    }
+      });
+    });
   }
 
-  // Every chain has drained: fold the chain-owned accumulators into the
+  // Every chain has finished: fold the chain-owned accumulators into the
   // shared result (the only cross-chain reads in the function).
   result.streamEvents = front.streamEvents;
   result.latchedEvents = front.latchedEvents;

@@ -61,19 +61,20 @@ struct RunnerConfig {
   /// Stop after this many frames even if the source has more (0 = run the
   /// full `duration` passed to runRecording).
   std::size_t maxFrames = 0;
-  /// Worker threads.  1 = the serial loop (default); any other value runs
-  /// the stage graph, in which the front end of window N+1 (stream draw,
-  /// GT annotation, latch readout) overlaps the pipeline evaluations and
-  /// GT matching of window N, one task chain per pipeline; 0 = one thread
-  /// per hardware thread.  Every accumulator is owned by exactly one
-  /// chain and updated in frame order, so the RunResult is bit-identical
-  /// for every thread count; pinned by tests/test_runner_threads.cpp.
+  /// Threads.  1 = the serial loop (default); any other value runs one
+  /// serial chain per pipeline plus the front-end chain (stream draw, GT
+  /// annotation, latch readout) over a ring of 3 frame slots, so the
+  /// front end runs up to 3 windows ahead of the slowest pipeline;
+  /// 0 = one thread per hardware thread, and more threads than chains
+  /// are not used.  Every accumulator is owned by exactly one chain and
+  /// updated in frame order, so the RunResult is bit-identical for every
+  /// thread count; pinned by tests/test_runner_threads.cpp.
   int threads = 1;
 
   /// Throws ConfigError on any nonsensical value (non-positive frame
   /// period, empty or out-of-range IoU sweep).  runRecording() calls
   /// this up front so misconfiguration fails fast, before any pipeline
-  /// or stage graph is built.
+  /// is built.
   void validate() const;
 };
 

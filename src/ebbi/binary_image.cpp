@@ -145,27 +145,6 @@ std::size_t BinaryImage::popcountRowRange(int y, int x0, int x1) const {
   return n;
 }
 
-bool BinaryImage::anySetRowRange(int y, int x0, int x1) const {
-  const std::uint64_t* row = wordRow(y);
-  const std::size_t w0 = static_cast<std::size_t>(x0) / 64;
-  const std::size_t w1 = static_cast<std::size_t>(x1 - 1) / 64;
-  const std::uint64_t headMask = ~std::uint64_t{0}
-                                 << (static_cast<unsigned>(x0) % 64);
-  const std::uint64_t tailMask = lowBits(x1 - static_cast<int>(w1) * 64);
-  if (w0 == w1) {
-    return (row[w0] & headMask & tailMask) != 0;
-  }
-  if ((row[w0] & headMask) != 0) {
-    return true;
-  }
-  for (std::size_t w = w0 + 1; w < w1; ++w) {
-    if (row[w] != 0) {
-      return true;
-    }
-  }
-  return (row[w1] & tailMask) != 0;
-}
-
 std::size_t BinaryImage::popcountInRegion(const BBox& region) const {
   const BBox r = clampToFrame(region, width_, height_);
   if (r.empty()) {
@@ -183,26 +162,6 @@ std::size_t BinaryImage::popcountInRegion(const BBox& region) const {
     n += popcountRowRange(y, x0, x1);
   }
   return n;
-}
-
-bool BinaryImage::anySetInRegion(const BBox& region) const {
-  const BBox r = clampToFrame(region, width_, height_);
-  if (r.empty()) {
-    return false;
-  }
-  const int x0 = static_cast<int>(std::floor(r.left()));
-  const int x1 = static_cast<int>(std::ceil(r.right()));
-  const int y0 = static_cast<int>(std::floor(r.bottom()));
-  const int y1 = static_cast<int>(std::ceil(r.top()));
-  for (int y = y0; y < y1; ++y) {
-    if (!rowMayHaveSetPixels(y)) {
-      continue;
-    }
-    if (anySetRowRange(y, x0, x1)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void BinaryImage::orWith(const BinaryImage& o) {

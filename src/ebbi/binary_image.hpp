@@ -118,11 +118,6 @@ class BinaryImage {
   /// Number of set pixels within the clamped box.
   [[nodiscard]] std::size_t popcountInRegion(const BBox& region) const;
 
-  /// True if any pixel in the clamped box is set (early-out scan).  The
-  /// RPN's validity check counts instead (popcountInRegion), since a
-  /// validated proposal's support is its pixel count.
-  [[nodiscard]] bool anySetInRegion(const BBox& region) const;
-
   /// Bitwise OR with another image of identical shape (used by the
   /// two-timescale long-exposure frame).
   void orWith(const BinaryImage& o);
@@ -157,10 +152,6 @@ class BinaryImage {
   void syncRowOccupancy();
   /// Masked popcount of row y over columns [x0, x1).
   [[nodiscard]] std::size_t popcountRowRange(int y, int x0, int x1) const;
-  /// True if any bit of row y in [x0, x1) is set (first-nonzero-word
-  /// early-out; cheaper than popcountRowRange when only existence
-  /// matters).
-  [[nodiscard]] bool anySetRowRange(int y, int x0, int x1) const;
 
   int width_ = 0;
   int height_ = 0;

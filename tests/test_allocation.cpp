@@ -20,6 +20,7 @@
 #include "src/common/thread_pool.hpp"
 #include "src/core/front_end.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/runner.hpp"
 #include "src/detect/cca_reference.hpp"
 #include "src/events/pixel_latch.hpp"
 #include "src/filters/nn_filter.hpp"
@@ -585,6 +586,45 @@ TEST(AllocationAuditTest, MedianFilterApplyIntoAllocatesNothing) {
     median.applyInto(in, out);
   }
   EXPECT_EQ(gAllocations.load() - before, 0U);
+}
+
+/// Heap allocations of runRecording over the first `frames` windows of
+/// SyntheticENG, with every registry variant on `threads` threads.
+std::uint64_t registryRunAllocations(std::size_t frames, int threads) {
+  RecordingSpec spec = makeSyntheticEng();
+  spec.durationS = 20.0;
+  const Recording recording = openRecording(spec);
+  RunnerConfig config = makeRegistryRunnerConfig(240, 180);
+  config.threads = threads;
+  config.maxFrames = frames;
+  const std::uint64_t before = gAllocations.load();
+  const RunResult result = runRecording(*recording.source, *recording.scenario,
+                                        secondsToUs(spec.durationS), config);
+  const std::uint64_t allocations = gAllocations.load() - before;
+  EXPECT_EQ(result.frames, frames);
+  return allocations;
+}
+
+TEST(AllocationAuditTest, RunnerChainsAllocateNothingPerFrameBeyondSerial) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The serial loop and the chain schedule run the same steps on the
+  // same windows, so any allocation per frame beyond the serial loop's
+  // is the schedule's own.  Differencing a run of N frames against one
+  // of 2N cancels the per-run setup (pipelines, pool, slot ring).  The
+  // ring's three latched packets each grow to their own largest window:
+  // on this recording the two counts agree from N = 80 on, while at
+  // N <= 60 the chains' extra frames still hold 2 of those growths.
+  constexpr std::size_t kFrames = 100;
+  const std::uint64_t serial = registryRunAllocations(2 * kFrames, 1) -
+                               registryRunAllocations(kFrames, 1);
+  const std::uint64_t chains = registryRunAllocations(2 * kFrames, 2) -
+                               registryRunAllocations(kFrames, 2);
+  EXPECT_GT(serial, 0U);  // the trackers still allocate per frame
+  EXPECT_EQ(chains, serial)
+      << "over " << kFrames << " frames: serial " << serial << ", chains "
+      << chains;
 }
 
 }  // namespace

@@ -72,12 +72,12 @@ TEST(BinaryImageTest, PopcountInRegion) {
   EXPECT_EQ(img.popcountInRegion(BBox{-10, -10, 17, 16}), 2U);
 }
 
-TEST(BinaryImageTest, AnySetInRegion) {
+TEST(BinaryImageTest, PopcountInRegionAroundOnePixel) {
   BinaryImage img(20, 20);
   img.set(10, 10, true);
-  EXPECT_TRUE(img.anySetInRegion(BBox{9, 9, 3, 3}));
-  EXPECT_FALSE(img.anySetInRegion(BBox{0, 0, 5, 5}));
-  EXPECT_FALSE(img.anySetInRegion(BBox{100, 100, 5, 5}));  // clamped empty
+  EXPECT_EQ(img.popcountInRegion(BBox{9, 9, 3, 3}), 1U);
+  EXPECT_EQ(img.popcountInRegion(BBox{0, 0, 5, 5}), 0U);
+  EXPECT_EQ(img.popcountInRegion(BBox{100, 100, 5, 5}), 0U);  // clamped empty
 }
 
 TEST(BinaryImageTest, OrWithCombines) {

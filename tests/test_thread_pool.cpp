@@ -4,12 +4,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <numeric>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace ebbiot {
@@ -144,236 +142,14 @@ TEST(ThreadPoolTest, StealHeavyStressSkewedCosts) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromTasks) {
-  // parallelFor is reentrant: task bodies fan out again on the same
-  // pool, and the waiting thread helps instead of deadlocking.
+  // parallelFor is reentrant: bodies fan out again on the same pool, and
+  // the waiting thread helps instead of deadlocking.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   pool.parallelFor(8, [&](std::size_t) {
     pool.parallelFor(32, [&](std::size_t) { ++count; });
   });
   EXPECT_EQ(count.load(), 8 * 32);
-}
-
-TEST(ThreadPoolTest, NestedSubmitRecursiveTree) {
-  // Tasks submit subtasks and block on them: a binary tree of depth 6,
-  // counted at every node.  Waiting inside a worker must help-execute
-  // queued tasks for the tree to complete.
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::function<void(int)> node = [&](int depth) {
-    ++count;
-    if (depth == 0) {
-      return;
-    }
-    const TaskHandle left = pool.submit([&node, depth] { node(depth - 1); });
-    const TaskHandle right = pool.submit([&node, depth] { node(depth - 1); });
-    pool.wait(left);
-    pool.wait(right);
-  };
-  const TaskHandle root = pool.submit([&node] { node(6); });
-  pool.wait(root);
-  EXPECT_EQ(count.load(), (1 << 7) - 1);
-}
-
-TEST(TaskGraphTest, DependenciesOrderDiamond) {
-  for (const int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    std::mutex mutex;
-    std::vector<char> order;
-    auto record = [&](char who) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(who);
-    };
-    const TaskHandle a = pool.submit([&] { record('a'); });
-    const TaskHandle b = pool.submit([&] { record('b'); }, {a});
-    const TaskHandle c = pool.submit([&] { record('c'); }, {a});
-    const TaskHandle d = pool.submit([&] { record('d'); }, {b, c});
-    pool.wait(d);
-    ASSERT_EQ(order.size(), 4U);
-    EXPECT_EQ(order.front(), 'a');
-    EXPECT_EQ(order.back(), 'd');
-    EXPECT_TRUE(a.done() && b.done() && c.done() && d.done());
-  }
-}
-
-TEST(TaskGraphTest, DependencyOnCompletedTaskRunsImmediately) {
-  ThreadPool pool(2);
-  const TaskHandle first = pool.submit([] {});
-  pool.wait(first);
-  ASSERT_TRUE(first.done());
-  std::atomic<bool> ran{false};
-  const TaskHandle second = pool.submit([&] { ran = true; }, {first});
-  pool.wait(second);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(TaskGraphTest, EmptyHandleDependencyIsIgnored) {
-  ThreadPool pool(2);
-  const TaskHandle empty;
-  EXPECT_TRUE(empty.done());
-  pool.wait(empty);  // no-op
-  std::atomic<bool> ran{false};
-  const TaskHandle task = pool.submit([&] { ran = true; }, {empty});
-  pool.wait(task);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(TaskGraphTest, ThrowingTaskStillReleasesSuccessors) {
-  ThreadPool pool(2);
-  std::atomic<bool> successorRan{false};
-  const TaskHandle bad =
-      pool.submit([] { throw std::runtime_error("stage failed"); });
-  const TaskHandle after = pool.submit([&] { successorRan = true; }, {bad});
-  pool.wait(after);  // dependencies express completion, not success
-  EXPECT_TRUE(successorRan.load());
-  EXPECT_THROW(pool.wait(bad), std::runtime_error);
-  EXPECT_THROW(pool.wait(bad), std::runtime_error);  // rethrows repeatedly
-}
-
-TEST(TaskGraphTest, LongChainCompletesInOrder) {
-  // A frame-chain shape: each link depends on its predecessor and bumps
-  // a sequence counter; any reordering would break the equality.
-  ThreadPool pool(4);
-  constexpr int kLinks = 200;
-  std::vector<int> sequence;
-  sequence.reserve(kLinks);
-  TaskHandle prev;
-  for (int i = 0; i < kLinks; ++i) {
-    prev = pool.submit([&sequence, i] { sequence.push_back(i); }, {prev});
-  }
-  pool.wait(prev);
-  ASSERT_EQ(sequence.size(), static_cast<std::size_t>(kLinks));
-  for (int i = 0; i < kLinks; ++i) {
-    EXPECT_EQ(sequence[i], i);
-  }
-}
-
-TEST(TaskGraphTest, WideFanOutReleasesSuccessorsInRegistrationOrder) {
-  // More successors than a node keeps inline: released tasks join the
-  // queue's front one by one, so with no workers they run in reverse
-  // release order — the reverse of registration if the inline and the
-  // overflow successors are released as one list, in order.
-  ThreadPool pool(1);
-  constexpr int kSuccessors = 20;
-  std::vector<int> order;
-  const TaskHandle root = pool.submit([] {});
-  std::vector<TaskHandle> successors;
-  for (int i = 0; i < kSuccessors; ++i) {
-    successors.push_back(
-        pool.submit([&order, i] { order.push_back(i); }, {root}));
-  }
-  for (const TaskHandle& successor : successors) {
-    pool.wait(successor);
-  }
-  std::vector<int> expected(kSuccessors);
-  std::iota(expected.rbegin(), expected.rend(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-// --- Shutdown / teardown edges -----------------------------------------
-//
-// Contract under test (see ~ThreadPool): destroying a pool with
-// un-waited tasks *abandons* them — they never run, their handles stay
-// valid and report done() == false, and the whole graph is freed (the
-// ASan CI leg turns a missed release into a leak report here).
-// ThreadPool(1) makes abandonment deterministic: it spawns no workers,
-// so a submitted-but-never-waited task cannot have started.
-
-TEST(TaskGraphTest, DestructorAbandonsQueuedTasks) {
-  std::atomic<int> ran{0};
-  TaskHandle first;
-  TaskHandle last;
-  {
-    ThreadPool pool(1);
-    first = pool.submit([&] { ++ran; });
-    last = pool.submit([&] { ++ran; }, {first});
-    // No wait(): `first` is still queued, and `last` still waits on it,
-    // when the pool dies.
-  }
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_TRUE(first.valid());
-  EXPECT_TRUE(last.valid());
-  EXPECT_FALSE(first.done());
-  EXPECT_FALSE(last.done());
-}
-
-TEST(TaskGraphTest, DestructorAbandonsLongDependencyChain) {
-  // A deep never-dispatched chain: each node holds a reference to its
-  // successor, and only the head sits in the queue.  The destructor's
-  // release must cascade down the whole chain (ASan checks the frees).
-  std::atomic<int> ran{0};
-  TaskHandle tail;
-  {
-    ThreadPool pool(1);
-    TaskHandle prev;
-    for (int i = 0; i < 100; ++i) {
-      prev = pool.submit([&] { ++ran; }, {prev});
-    }
-    tail = prev;
-  }
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_FALSE(tail.done());
-}
-
-TEST(TaskGraphTest, DestructorAbandonsWideFanOut) {
-  // A queued task with more successors than it keeps inline: its
-  // destructor must drop every successor, overflow included (ASan
-  // checks the frees).
-  std::atomic<int> ran{0};
-  std::vector<TaskHandle> successors;
-  {
-    ThreadPool pool(1);
-    const TaskHandle root = pool.submit([&] { ++ran; });
-    for (int i = 0; i < 20; ++i) {
-      successors.push_back(pool.submit([&] { ++ran; }, {root}));
-    }
-  }
-  EXPECT_EQ(ran.load(), 0);
-  for (const TaskHandle& successor : successors) {
-    EXPECT_FALSE(successor.done());
-  }
-}
-
-TEST(TaskGraphTest, HandlesOutliveThePool) {
-  // A completed task's handle must keep answering done() == true after
-  // the pool is gone: the handle's node reference, not the pool, owns
-  // the completion state.  Copies and moves of a dead-pool handle must
-  // also stay safe.
-  TaskHandle finished;
-  TaskHandle abandoned;
-  {
-    ThreadPool pool(1);
-    finished = pool.submit([] {});
-    pool.wait(finished);
-    abandoned = pool.submit([] {});
-  }
-  EXPECT_TRUE(finished.done());
-  EXPECT_FALSE(abandoned.done());
-  TaskHandle copy = finished;
-  EXPECT_TRUE(copy.done());
-  const TaskHandle moved = std::move(copy);
-  EXPECT_TRUE(moved.done());
-  copy = abandoned;  // NOLINT(bugprone-use-after-move): reassignment
-  EXPECT_FALSE(copy.done());
-}
-
-TEST(TaskGraphTest, AbandonedTaskIsUsableAsDependencyInAnotherPool) {
-  // Dependencies express completion; an abandoned handle from a dead
-  // pool is a *never-completing* dependency, so it must not be handed to
-  // a live pool.  What IS allowed: a completed handle from a dead pool
-  // gating work in a new pool (sweep harnesses rebuild pools per grid
-  // point but cache result handles).
-  TaskHandle fromOldPool;
-  {
-    ThreadPool old(1);
-    fromOldPool = old.submit([] {});
-    old.wait(fromOldPool);
-  }
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  const TaskHandle task = pool.submit([&] { ran = true; }, {fromOldPool});
-  pool.wait(task);
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPoolTest, ImmediateDestructionIsClean) {
@@ -392,47 +168,97 @@ TEST(ThreadPoolTest, ImmediateDestructionIsClean) {
 // These tests hang (and ctest's timeout fails them) if a wake-up is lost.
 
 TEST(ThreadPoolTest, ParkedWorkerWakesForQueuedTask) {
-  // After the sleep the worker is parked.  A spins until B has run, so
-  // whichever thread takes A, the other must be woken to run B.
+  // After the sleep the worker is parked.  Index 0 spins until index 1
+  // has run, so whichever thread claims index 0, the other must claim
+  // index 1: the queued ticket must wake the parked worker.
   ThreadPool pool(2);
   for (int round = 0; round < 4; ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     std::atomic<bool> flag{false};
-    const TaskHandle a = pool.submit([&flag] {
+    pool.parallelFor(2, [&flag](std::size_t i) {
+      if (i == 1) {
+        flag = true;
+        return;
+      }
       while (!flag.load()) {
         std::this_thread::yield();
       }
     });
-    const TaskHandle b = pool.submit([&flag] { flag = true; });
-    pool.wait(a);
-    pool.wait(b);
     EXPECT_TRUE(flag.load());
   }
 }
 
 TEST(ThreadPoolTest, ParkedWaiterWakesOnCompletion) {
-  // The task starts on the worker before the caller waits (the caller
-  // does not help until wait()), and sleeps past the caller's spin
-  // phase: the caller parks, and the completion must wake it.
+  // The caller's index returns once the worker has started the other
+  // one, which sleeps past the caller's spin phase: the caller parks
+  // waiting for the worker's ticket, and its completion must wake it.
   ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
   for (int round = 0; round < 4; ++round) {
     std::atomic<bool> started{false};
-    std::thread::id runner;
-    const TaskHandle slow = pool.submit([&] {
-      runner = std::this_thread::get_id();
+    std::atomic<bool> finished{false};
+    pool.parallelFor(2, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        while (!started.load()) {
+          std::this_thread::yield();
+        }
+        return;
+      }
       started = true;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished = true;
     });
-    while (!started.load()) {
-      std::this_thread::yield();
-    }
-    pool.wait(slow);
-    EXPECT_TRUE(slow.done());
-    EXPECT_NE(runner, std::this_thread::get_id());
+    EXPECT_TRUE(finished.load());
   }
 }
 
-TEST(TaskGraphTest, GlobalPoolShardsIndependentJobs) {
+TEST(ThreadPoolTest, HelperThrowsAfterCallerParked) {
+  // As above, but the worker's index throws after the caller has parked:
+  // the caller must still be woken, and rethrow it.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 4; ++round) {
+    std::atomic<bool> started{false};
+    EXPECT_THROW(pool.parallelFor(2,
+                                  [&](std::size_t) {
+                                    if (std::this_thread::get_id() == caller) {
+                                      while (!started.load()) {
+                                        std::this_thread::yield();
+                                      }
+                                      return;
+                                    }
+                                    started = true;
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(50));
+                                    throw std::runtime_error("late");
+                                  }),
+                 std::runtime_error);
+  }
+}
+
+TEST(ThreadPoolTest, TwoExternalCallersShareOnePool) {
+  // Two threads outside the pool call parallelFor on it at once: each
+  // call runs its own range exactly once, whichever threads help it.
+  ThreadPool pool(3);
+  constexpr std::size_t kIndices = 300;
+  std::vector<std::atomic<int>> hitsA(kIndices);
+  std::vector<std::atomic<int>> hitsB(kIndices);
+  auto caller = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < 50; ++round) {
+      pool.parallelFor(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+    }
+  };
+  std::thread a(caller, std::ref(hitsA));
+  std::thread b(caller, std::ref(hitsB));
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kIndices; ++i) {
+    EXPECT_EQ(hitsA[i].load(), 50);
+    EXPECT_EQ(hitsB[i].load(), 50);
+  }
+}
+
+TEST(ThreadPoolTest, GlobalPoolShardsIndependentJobs) {
   ThreadPool& pool = globalThreadPool();
   EXPECT_GE(pool.threadCount(), 1);
   std::vector<int> slots(64, 0);
