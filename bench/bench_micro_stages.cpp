@@ -515,8 +515,9 @@ BENCHMARK(BM_NnFilter);
 void BM_NnFilterReference(benchmark::State& state) {
   // The scalar full-neighbourhood-scan twin BM_NnFilter is pinned
   // bit-identical against (kept events and Eq. (2) ops;
-  // tests/test_nn_filter.cpp) — kept benchmarked so the event-surface
-  // speedup stays visible in the perf trajectory.
+  // tests/test_nn_filter.cpp) — kept benchmarked so the padded map's
+  // gain over the clamped, validity-checked scan stays visible in the
+  // perf trajectory.
   FrameBank& bank = FrameBank::instance();
   NnFilterReference filter{NnFilterConfig{}};
   EventPacket out;
@@ -537,9 +538,9 @@ BENCHMARK(BM_NnFilterReference);
 /// Dense-noise wide-area windows for the NN filter: a 640x480 sensor
 /// dominated by uncorrelated shot noise plus a few genuine movers — the
 /// regime Eq. (2) is built for (almost every event must be *rejected*,
-/// i.e. its whole neighbourhood inspected and found stale).  The scalar
-/// reference pays p^2 - 1 scattered timestamp loads per rejection; the
-/// surface answers from a handful of bitplane words.
+/// i.e. its whole neighbourhood inspected and found stale).  Both twins
+/// read all p^2 cells per event; at 640x480 the filter's int64 map (2.5 MB)
+/// outgrows L2, so this cell also measures its row prefetch.
 std::vector<EventPacket> denseNoiseWindows(int noiseEvents, int blobs) {
   Rng rng(11);
   std::vector<EventPacket> windows;
@@ -576,10 +577,7 @@ NnFilterConfig denseNoiseNnConfig() {
   config.height = 480;
   // Wide-area tuning: the paper's p = 3 neighbourhood is sized for a
   // 304x240 sensor; at 640x480 the same angular neighbourhood spans
-  // ~2.1x more pixels, so the support patch scales to p = 7.  (This is
-  // also the regime that separates the implementations: the scalar
-  // reference's support scan grows with p^2 while the word-parallel
-  // surface only adds patch rows, ~p.)
+  // ~2.1x more pixels, so the support patch scales to p = 7.
   config.neighbourhood = 7;
   return config;
 }

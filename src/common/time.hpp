@@ -18,6 +18,14 @@ inline constexpr TimeUs kMicrosPerSecond = 1'000'000;
 /// Frame period used in the paper: tF = 66 ms (~15 Hz readout).
 inline constexpr TimeUs kDefaultFramePeriodUs = 66 * kMicrosPerMilli;
 
+/// The per-pixel timestamp maps (NnFilter, RefractoryFilter) mark a
+/// pixel that never fired with kNeverFired and accept only packets whose
+/// window lies inside (-kMapTimeLimit, kMapTimeLimit).  With windows
+/// below kMapTimeLimit / 2, "never" stays below every t - window and no
+/// difference of two accepted times overflows.
+inline constexpr TimeUs kNeverFired = INT64_MIN;
+inline constexpr TimeUs kMapTimeLimit = TimeUs{1} << 47;
+
 constexpr TimeUs millisToUs(double ms) {
   return static_cast<TimeUs>(ms * static_cast<double>(kMicrosPerMilli));
 }

@@ -54,7 +54,7 @@ enum class InputDomain {
 };
 
 /// Opaque snapshot of one pipeline's cross-window state (tracker slots,
-/// event-surface history — everything that carries information from one
+/// timestamp maps — everything that carries information from one
 /// window into the next).  Obtained from Pipeline::makeSnapshot() and
 /// only meaningful with pipelines of the same concrete type and config;
 /// the node recovery layer (src/node/pipeline_sink.*) keeps one rolling
@@ -331,10 +331,10 @@ struct EbmsStageOps {
   [[nodiscard]] OpCounts total() const { return nnFilter + ebms; }
 };
 
-/// Snapshot of the event-domain pipeline: the NN filter's event surface
+/// Snapshot of the event-domain pipeline: the NN filter's timestamp map
 /// (its pass/reject decisions depend on past windows' events), the EBMS
-/// cluster state, and the refractory stage's surface when that stage is
-/// enabled.
+/// cluster state, and the refractory stage's timestamp map when that
+/// stage is enabled.
 struct EbmsPipelineSnapshot final : PipelineSnapshot {
   EbmsPipelineSnapshot(const NnFilter& filter, const EbmsTracker& t,
                        std::optional<RefractoryFilter> r = std::nullopt)

@@ -11,30 +11,29 @@
 // p^2 - 1 increments, plus one Bt-bit memory write for the timestamp
 // update (the paper charges that write as Bt single-bit ops).
 //
-// The implementation runs on the shared EventSurface
-// (src/events/event_surface.hpp): the support test ORs a handful of
-// clamped recency-bitplane row words and masks off the centre bit,
-// touching the exact timestamp map only for neighbours whose support
-// straddles the boundary time bucket — instead of loading p^2 - 1
-// scattered 64-bit timestamps per event.  The *reported* OpCounts stay
-// Eq. (2)'s full-neighbourhood cost, charged in closed form from the
-// clamped patch bounds; tests/test_nn_filter.cpp pins outputs and ops
-// against the retained scalar NnFilterReference
+// The implementation is that map: one int64 time per pixel, padded by
+// r = p/2 cells of "never" (kNeverFired) on every side, so each event
+// scans a full p x p patch without clamping.  It counts the cells that
+// fired at or after t - supportWindow, takes off the centre's own cell
+// and writes t.  The *reported* OpCounts stay Eq. (2)'s cost over the
+// clamped neighbourhood, charged in closed form; tests/test_nn_filter.cpp
+// pins outputs and ops against the metered NnFilterReference
 // (nn_filter_reference.hpp), following the same reference-pinning
 // convention as the median filter and the CCA labeller.
 //
-// The surface's monotonic-epoch rule applies: a packet whose time
-// regresses behind previously recorded events restarts support from an
-// empty surface (both twins, identically) — matching a real streaming
-// deployment, where time only moves forward.
+// Time only moves forward in a streaming deployment: a packet whose first
+// event precedes the newest recorded one restarts support from an empty
+// map (both twins, identically).  Packets must lie inside
+// (-kMapTimeLimit, kMapTimeLimit) (src/common/time.hpp), which keeps
+// "never" below every t - supportWindow.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/op_counter.hpp"
 #include "src/common/time.hpp"
 #include "src/events/event_packet.hpp"
-#include "src/events/event_surface.hpp"
 
 namespace ebbiot {
 
@@ -45,14 +44,9 @@ struct NnFilterConfig {
   TimeUs supportWindow = 5'000;   ///< temporal support window, us
   int timestampBits = 16;         ///< Bt, for the memory/ops accounting
 
-  /// Throws ConfigError unless p >= 3 and odd, dimensions and the
-  /// support window are positive, and Bt >= 1.
+  /// Throws ConfigError unless p >= 3 and odd, dimensions are positive,
+  /// the support window lies in (0, kMapTimeLimit / 2), and Bt >= 1.
   void validate() const;
-
-  /// The surface geometry this filter needs.
-  [[nodiscard]] EventSurfaceConfig surfaceConfig() const {
-    return EventSurfaceConfig{width, height, supportWindow};
-  }
 };
 
 class NnFilter {
@@ -60,7 +54,7 @@ class NnFilter {
   explicit NnFilter(const NnFilterConfig& config);
 
   /// Filter a packet; events must be time-sorted.  Stateful across calls:
-  /// the timestamp surface persists, as in a streaming deployment.
+  /// the timestamp map persists, as in a streaming deployment.
   [[nodiscard]] EventPacket filter(const EventPacket& packet);
 
   /// Filter into a reusable output packet (reset to the input's window,
@@ -68,7 +62,7 @@ class NnFilter {
   /// once warm.  `out` must not alias `packet`.
   void filterInto(const EventPacket& packet, EventPacket& out);
 
-  /// Reset the timestamp surface to "never fired".
+  /// Reset the timestamp map to "never fired".
   void reset();
 
   /// Ops of the most recent filter() call (Eq. (2) accounting).
@@ -84,7 +78,11 @@ class NnFilter {
 
  private:
   NnFilterConfig config_;
-  EventSurface surface_;
+  std::size_t stride_;  ///< padded row length, width + 2r
+  /// Newest event time per padded cell, row-major; pixel (x, y) is cell
+  /// (x + r, y + r), and the padding stays kNeverFired.
+  std::vector<TimeUs> lastT_;
+  TimeUs newestT_ = kNeverFired;  ///< newest recorded time
   OpCounts ops_;
 };
 

@@ -1,21 +1,23 @@
 // NnFilterReference — the scalar full-scan formulation of the NN-filt
-// stage, retained as the differential pin for the bitplane fast path
+// stage, retained as the differential pin for the padded-map fast path
 // (src/filters/nn_filter.hpp), per the house reference-twin convention.
 //
-// Per event it walks the full clamped p x p neighbourhood of the scalar
-// EventSurfaceReference one timestamp at a time (no early exit) and
+// It keeps a plain timestamp per pixel with an explicit fired/not-fired
+// byte beside it (no sentinel, no padding), walks the full clamped
+// p x p neighbourhood one timestamp at a time (no early exit) and
 // *meters* the Eq. (2) cost as it goes: one comparison + one increment
-// per visited cell, plus the Bt-bit timestamp write.  The fast twin
-// charges the same counts in closed form; tests/test_nn_filter.cpp
-// holds outputs and lastOps() bit-identical on random streams, clamped
-// edge geometry and epoch regressions.
+// per visited cell, plus the Bt-bit timestamp write.  An event earlier
+// than the newest recorded one clears the map first.  The fast twin
+// charges the same counts in closed form; tests/test_nn_filter.cpp holds
+// outputs and lastOps() bit-identical on random streams, clamped edge
+// geometry and time regressions.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/op_counter.hpp"
 #include "src/events/event_packet.hpp"
-#include "src/events/event_surface_reference.hpp"
 #include "src/filters/nn_filter.hpp"
 
 namespace ebbiot {
@@ -35,14 +37,13 @@ class NnFilterReference {
   /// neighbourhood scan runs; the closed-form fast twin is pinned to it.
   [[nodiscard]] const OpCounts& lastOps() const { return ops_; }
 
-  /// Same Eq. (2) abstract map footprint the fast twin quotes.
-  [[nodiscard]] std::size_t memoryBits() const;
-
   [[nodiscard]] const NnFilterConfig& config() const { return config_; }
 
  private:
   NnFilterConfig config_;
-  EventSurfaceReference surface_;
+  std::vector<TimeUs> lastT_;        ///< newest time per pixel, row-major
+  std::vector<std::uint8_t> fired_;  ///< explicit validity of lastT_
+  TimeUs newestT_ = INT64_MIN;       ///< newest recorded time
   OpCounts ops_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/filters/refractory_filter.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "src/common/error.hpp"
@@ -30,9 +31,14 @@ const RefractoryFilterConfig& validated(const RefractoryFilterConfig& config) {
 }  // namespace
 
 RefractoryFilter::RefractoryFilter(const RefractoryFilterConfig& config)
-    : config_(validated(config)), surface_(config.surfaceConfig()) {}
+    : config_(validated(config)),
+      lastKept_(static_cast<std::size_t>(config.width) *
+                    static_cast<std::size_t>(config.height),
+                kNeverFired) {}
 
-void RefractoryFilter::reset() { surface_.clear(); }
+void RefractoryFilter::reset() {
+  std::fill(lastKept_.begin(), lastKept_.end(), kNeverFired);
+}
 
 EventPacket RefractoryFilter::filter(const EventPacket& packet) {
   EventPacket out;
@@ -44,12 +50,15 @@ void RefractoryFilter::filterInto(const EventPacket& packet,
                                   EventPacket& out) {
   EBBIOT_ASSERT(&packet != &out);
   EBBIOT_ASSERT(packet.isTimeSorted());
+  EBBIOT_ASSERT(packet.tStart() > -kMapTimeLimit &&
+                packet.tEnd() <= kMapTimeLimit);
   out.reset(packet.tStart(), packet.tEnd());
+  const auto width = static_cast<std::size_t>(config_.width);
   for (const Event& e : packet) {
     EBBIOT_ASSERT(e.x < config_.width && e.y < config_.height);
-    const EventSurface::PixelRecency last = surface_.recall(e.x, e.y);
-    if (!last.fired || e.t - last.t >= config_.refractoryPeriod) {
-      surface_.record(e.x, e.y, e.t);
+    TimeUs& last = lastKept_[e.y * width + e.x];
+    if (last == kNeverFired || e.t - last >= config_.refractoryPeriod) {
+      last = e.t;
       out.push(e);
     }
   }

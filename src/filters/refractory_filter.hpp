@@ -6,15 +6,17 @@
 // stream-mode output and available as a standalone stage; it bounds beta
 // (mean fires per active pixel per frame) from above.
 //
-// State lives on the shared EventSurface (planes disabled — a refractory
-// test needs only the exact per-pixel timestamp), whose epoch-tagged
-// validity makes "never fired" distinguishable from any legitimate
-// timestamp, including t = -1 after node-side unwrap rebasing.
+// State is one timestamp per pixel: the time of its last *kept* event, or
+// kNeverFired (src/common/time.hpp), which the test checks before it
+// subtracts, so "never fired" stays distinct from every legitimate time,
+// including t = -1 after node-side unwrap rebasing.  Packets must lie
+// inside (-kMapTimeLimit, kMapTimeLimit).
 #pragma once
+
+#include <vector>
 
 #include "src/common/time.hpp"
 #include "src/events/event_packet.hpp"
-#include "src/events/event_surface.hpp"
 
 namespace ebbiot {
 
@@ -25,20 +27,11 @@ struct RefractoryFilterConfig {
 
   /// Throws ConfigError on non-positive dimensions or a negative period.
   void validate() const;
-
-  [[nodiscard]] EventSurfaceConfig surfaceConfig() const {
-    return EventSurfaceConfig{width, height, 0};
-  }
 };
 
 class RefractoryFilter {
  public:
   explicit RefractoryFilter(const RefractoryFilterConfig& config);
-
-  /// Convenience geometry ctor, matching the historical signature.
-  RefractoryFilter(int width, int height, TimeUs refractoryPeriod)
-      : RefractoryFilter(
-            RefractoryFilterConfig{width, height, refractoryPeriod}) {}
 
   /// Keep the first event per pixel per refractory window.  Events must be
   /// time-sorted.  Stateful across packets.
@@ -50,17 +43,13 @@ class RefractoryFilter {
 
   void reset();
 
-  [[nodiscard]] TimeUs refractoryPeriod() const {
-    return config_.refractoryPeriod;
-  }
-
   [[nodiscard]] const RefractoryFilterConfig& config() const {
     return config_;
   }
 
  private:
   RefractoryFilterConfig config_;
-  EventSurface surface_;  ///< timestamps of *kept* events only
+  std::vector<TimeUs> lastKept_;  ///< per pixel, row-major
 };
 
 }  // namespace ebbiot

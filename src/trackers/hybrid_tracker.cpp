@@ -38,16 +38,13 @@ Tracks HybridTracker::update(const RegionProposals& proposals) {
   // --- Step 2: overlap association, greedy largest-intersection first.
   const std::size_t nT = entries_.size();
   const std::size_t nP = proposals.size();
-  std::vector<BBox> pred(nT);
+  std::vector<BBox>& pred = scratch_.pred;
+  pred.resize(nT);
   for (std::size_t i = 0; i < nT; ++i) {
     pred[i] = predictedBox(entries_[i]);
   }
-  struct Candidate {
-    float overlap;
-    std::size_t track;
-    std::size_t proposal;
-  };
-  std::vector<Candidate> candidates;
+  std::vector<Candidate>& candidates = scratch_.candidates;
+  candidates.clear();
   for (std::size_t i = 0; i < nT; ++i) {
     for (std::size_t j = 0; j < nP; ++j) {
       ops_.compares += 4;  // interval tests of the overlap predicate
@@ -69,8 +66,10 @@ Tracks HybridTracker::update(const RegionProposals& proposals) {
               }
               return a.proposal < b.proposal;
             });
-  std::vector<int> trackOfProposal(nP, -1);
-  std::vector<int> proposalOfTrack(nT, -1);
+  std::vector<int>& trackOfProposal = scratch_.trackOfProposal;
+  std::vector<int>& proposalOfTrack = scratch_.proposalOfTrack;
+  trackOfProposal.assign(nP, -1);
+  proposalOfTrack.assign(nT, -1);
   for (const Candidate& c : candidates) {
     ops_.compares += 1;
     if (proposalOfTrack[c.track] >= 0 || trackOfProposal[c.proposal] >= 0) {
@@ -84,7 +83,8 @@ Tracks HybridTracker::update(const RegionProposals& proposals) {
   // prediction are fragments of it — union them into the measurement
   // while the union stays near the remembered size (track history
   // repairs fragmentation, as in the OT).
-  std::vector<BBox> measurement(nT);
+  std::vector<BBox>& measurement = scratch_.measurement;
+  measurement.assign(nT, BBox{});
   for (std::size_t i = 0; i < nT; ++i) {
     if (proposalOfTrack[i] >= 0) {
       measurement[i] =
@@ -166,19 +166,11 @@ Tracks HybridTracker::update(const RegionProposals& proposals) {
   }
 
   Tracks out;
+  out.reserve(entries_.size());
   for (Entry& e : entries_) {
     if (e.track.hits >= config_.minHitsToReport) {
       out.push_back(e.track);
     }
-  }
-  return out;
-}
-
-Tracks HybridTracker::liveTracks() const {
-  Tracks out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    out.push_back(e.track);
   }
   return out;
 }

@@ -64,9 +64,6 @@ class HybridTracker {
   /// reported tracks (post-update positions).
   Tracks update(const RegionProposals& proposals);
 
-  /// All live tracks, reported or not — for tests.
-  [[nodiscard]] Tracks liveTracks() const;
-
   /// Number of occupied track slots.
   [[nodiscard]] int activeCount() const;
 
@@ -91,6 +88,27 @@ class HybridTracker {
   std::vector<Entry> entries_;
   std::uint32_t nextId_ = 1;
   OpCounts ops_;
+
+  /// Per-frame association storage, reused across update() calls, so a
+  /// warm update allocates only the returned Tracks.  It carries
+  /// nothing from one frame to the next, so copies (pipeline snapshots)
+  /// skip it.
+  struct Candidate {
+    float overlap;
+    std::size_t track;
+    std::size_t proposal;
+  };
+  struct Scratch {
+    Scratch() = default;
+    Scratch(const Scratch& /*other*/) {}
+    Scratch& operator=(const Scratch& /*other*/) { return *this; }
+    std::vector<BBox> pred;  ///< predicted box per track
+    std::vector<Candidate> candidates;
+    std::vector<int> trackOfProposal;
+    std::vector<int> proposalOfTrack;
+    std::vector<BBox> measurement;  ///< matched box plus its fragments
+  };
+  Scratch scratch_;
 };
 
 }  // namespace ebbiot

@@ -115,11 +115,14 @@ Tracks KalmanTracker::update(const RegionProposals& proposals) {
   // Gated association: centroid distances as costs, solved greedily
   // (closest pair first) or optimally (Hungarian), per config.
   const std::size_t nP = proposals.size();
-  std::vector<bool> trackMatched(entries_.size(), false);
-  std::vector<bool> proposalMatched(nP, false);
+  std::vector<bool>& trackMatched = scratch_.trackMatched;
+  std::vector<bool>& proposalMatched = scratch_.proposalMatched;
+  trackMatched.assign(entries_.size(), false);
+  proposalMatched.assign(nP, false);
   constexpr double kForbidden = 1e17;
 
-  std::vector<double> costs(entries_.size() * nP, kForbidden);
+  std::vector<double>& costs = scratch_.costs;
+  costs.assign(entries_.size() * nP, kForbidden);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Vec2f c = entries_[i].filter.position();
     for (std::size_t j = 0; j < nP; ++j) {
@@ -167,12 +170,8 @@ Tracks KalmanTracker::update(const RegionProposals& proposals) {
     const std::size_t n = std::max(entries_.size(), nP);
     ops_.adds += n * n * n;
   } else {
-    struct Pair {
-      double dist;
-      std::size_t track;
-      std::size_t proposal;
-    };
-    std::vector<Pair> pairs;
+    std::vector<Pair>& pairs = scratch_.pairs;
+    pairs.clear();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       for (std::size_t j = 0; j < nP; ++j) {
         if (costs[i * nP + j] < kForbidden) {
@@ -233,19 +232,11 @@ Tracks KalmanTracker::update(const RegionProposals& proposals) {
   }
 
   Tracks out;
+  out.reserve(entries_.size());
   for (Entry& e : entries_) {
     if (e.track.hits >= config_.minHitsToReport) {
       out.push_back(e.track);
     }
-  }
-  return out;
-}
-
-Tracks KalmanTracker::liveTracks() const {
-  Tracks out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    out.push_back(e.track);
   }
   return out;
 }

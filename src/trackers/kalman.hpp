@@ -114,7 +114,6 @@ class KalmanTracker {
   /// Advance one frame with this frame's region proposals.
   Tracks update(const RegionProposals& proposals);
 
-  [[nodiscard]] Tracks liveTracks() const;
   [[nodiscard]] int activeCount() const;
 
   /// Ops of the most recent update, comparable to C_KF of Eq. (7).
@@ -137,6 +136,26 @@ class KalmanTracker {
   std::vector<Entry> entries_;
   std::uint32_t nextId_ = 1;
   OpCounts ops_;
+
+  /// Per-frame association storage, reused across update() calls, so a
+  /// warm greedy update allocates only the returned Tracks.  It carries
+  /// nothing from one frame to the next, so copies (pipeline snapshots)
+  /// skip it.
+  struct Pair {
+    double dist;
+    std::size_t track;
+    std::size_t proposal;
+  };
+  struct Scratch {
+    Scratch() = default;
+    Scratch(const Scratch& /*other*/) {}
+    Scratch& operator=(const Scratch& /*other*/) { return *this; }
+    std::vector<bool> trackMatched;
+    std::vector<bool> proposalMatched;
+    std::vector<double> costs;  ///< track-major, kForbidden outside the gate
+    std::vector<Pair> pairs;    ///< gated pairs, greedy association only
+  };
+  Scratch scratch_;
 };
 
 }  // namespace ebbiot

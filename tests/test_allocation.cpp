@@ -30,6 +30,7 @@
 #include "src/node/wire_format.hpp"
 #include "src/sim/recording.hpp"
 #include "src/trackers/ebms.hpp"
+#include "src/trackers/hybrid_tracker.hpp"
 #include "src/trackers/kalman.hpp"
 
 namespace ebbiot {
@@ -530,6 +531,70 @@ TEST(AllocationAuditTest, KalmanPipelinesWarmSnapshotSaveAllocatesNothing) {
               0U)
         << spec.name << " Hybrid";
     EXPECT_GE(maxLive, 2) << spec.name << " Hybrid";
+  }
+}
+
+/// Proposals of the EBBIOT front end over the first `frames` windows of
+/// `spec`, to drive a tracker on its own.
+std::vector<RegionProposals> frontEndProposals(RecordingSpec spec,
+                                               int frames) {
+  spec.durationS = 10.0;
+  const Recording recording = openRecording(spec);
+  FrameFrontEnd frontEnd{FrontEndConfig{}};
+  std::vector<RegionProposals> out;
+  for (int i = 0; i < frames; ++i) {
+    out.push_back(
+        frontEnd.process(recording.source->nextWindow(kDefaultFramePeriodUs)));
+  }
+  return out;
+}
+
+/// The most allocations one update() of a warm Tracker makes over
+/// `frames`: a first pass grows the tracker's storage, a second pass over
+/// the same frames is measured.  `maxLive` gets the most live tracks.
+template <typename Tracker>
+std::uint64_t maxWarmUpdateAllocations(
+    const std::vector<RegionProposals>& frames, int& maxLive) {
+  Tracker tracker{typename Tracker::Config{}};
+  for (const RegionProposals& proposals : frames) {
+    (void)tracker.update(proposals);
+  }
+  std::uint64_t most = 0;
+  maxLive = 0;
+  for (const RegionProposals& proposals : frames) {
+    const std::uint64_t before = gAllocations.load();
+    const Tracks tracks = tracker.update(proposals);
+    most = std::max(most, gAllocations.load() - before);
+    maxLive = std::max(maxLive, tracker.activeCount());
+  }
+  return most;
+}
+
+TEST(AllocationAuditTest, KalmanTrackerWarmGreedyUpdateAllocatesOnlyItsTracks) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  // The association vectors are reused members, so a warm greedy update
+  // allocates at most the Tracks it returns.
+  for (const RecordingSpec& spec : {makeSyntheticEng(), makeSyntheticLt4()}) {
+    const std::vector<RegionProposals> frames = frontEndProposals(spec, 150);
+    int maxLive = 0;
+    EXPECT_LE(maxWarmUpdateAllocations<KalmanTracker>(frames, maxLive), 1U)
+        << spec.name;
+    EXPECT_GE(maxLive, 2) << spec.name;
+  }
+}
+
+TEST(AllocationAuditTest, HybridTrackerWarmUpdateAllocatesOnlyItsTracks) {
+#ifdef EBBIOT_ALLOC_COUNTER_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  for (const RecordingSpec& spec : {makeSyntheticEng(), makeSyntheticLt4()}) {
+    const std::vector<RegionProposals> frames = frontEndProposals(spec, 150);
+    int maxLive = 0;
+    EXPECT_LE(maxWarmUpdateAllocations<HybridTracker>(frames, maxLive), 1U)
+        << spec.name;
+    EXPECT_GE(maxLive, 2) << spec.name;
   }
 }
 

@@ -99,8 +99,8 @@ TEST(NnFilterTest, SupportExpiresOutsideWindow) {
 }
 
 TEST(NnFilterTest, SupportWindowBoundaryIsInclusive) {
-  // t - ts == supportWindow still supports — the boundary-bucket
-  // exact-fallback must keep the inclusive test of the scalar scan.
+  // t - ts == supportWindow still supports: the map's ts >= t - W test
+  // must keep the inclusive test of the scalar scan.
   NnFilter filter(smallConfig());  // window = 1000 us
   EventPacket p(0, 10'000);
   p.push(Event{10, 10, Polarity::kOn, 100});
@@ -139,7 +139,7 @@ TEST(NnFilterTest, ResetClearsSupport) {
 
 TEST(NnFilterTest, TimeRegressionStartsNewEpoch) {
   // Time only moves forward in a real stream; when a caller replays the
-  // past (packet starting before events already recorded), the surface
+  // past (packet starting before events already recorded), the map
   // forgets rather than serving stale "future" support.  Both twins
   // implement the identical rule.
   NnFilterConfig c = smallConfig();
@@ -251,10 +251,10 @@ TEST(NnFilterTest, MemoryBitsMatchesEq2) {
 }
 
 TEST(NnFilterTest, WordParallelMatchesReferenceRun) {
-  // The bitplane support test must keep the same events AND report the
-  // same Eq. (2) full-neighbourhood ops as the metered scalar reference
-  // — including border events (clamped patches), multi-packet state and
-  // the epoch restart when a new seed's stream regresses time.
+  // The padded-map support count must keep the same events AND report
+  // the same Eq. (2) full-neighbourhood ops as the metered scalar
+  // reference — including border events (clamped patches), multi-packet
+  // state and the restart when a new seed's stream regresses time.
   for (int neighbourhood : {3, 5}) {
     NnFilterConfig c = smallConfig();
     c.width = 64;
@@ -313,7 +313,7 @@ TEST(NnFilterTest, CornerAndBorderGeometryMatchesReference) {
 
 TEST(NnFilterTest, OnePixelTallFrameMatchesReference) {
   // Degenerate geometry: a 1-pixel-tall frame clamps every patch to a
-  // single row (and a 64-wide frame keeps whole rows in one plane word).
+  // single row, so all but one of its patch rows read the padding.
   for (int neighbourhood : {3, 5, 9}) {
     NnFilterConfig c;
     c.width = 64;
@@ -341,8 +341,8 @@ TEST(NnFilterTest, OnePixelTallFrameMatchesReference) {
 }
 
 TEST(NnFilterTest, WideNeighbourhoodCrossesWordBoundary) {
-  // p = 5 patches centred near x = 64 straddle two plane words; pin the
-  // gather against the reference over a word-boundary burst.
+  // A p = 5 burst around x = 64 of a 128-wide frame, pinned against the
+  // reference.
   NnFilterConfig c;
   c.width = 128;
   c.height = 8;
@@ -360,6 +360,173 @@ TEST(NnFilterTest, WideNeighbourhoodCrossesWordBoundary) {
     }
   }
   expectTwinsAgree(fast, reference, p, "word boundary");
+}
+
+TEST(NnFilterTest, OnePixelWideFrameMatchesReference) {
+  // A 1-pixel-wide frame: the padded rows are 2r + 1 cells long, so every
+  // patch reads r columns of padding on each side of the one real column.
+  for (int neighbourhood : {3, 5, 9}) {
+    NnFilterConfig c;
+    c.width = 1;
+    c.height = 64;
+    c.neighbourhood = neighbourhood;
+    c.supportWindow = 400;
+    NnFilter fast(c);
+    NnFilterReference reference(c);
+    Rng rng(98);
+    EventPacket p(0, 100'000);
+    for (int i = 0; i < 300; ++i) {
+      p.push(Event{0,
+                   static_cast<std::uint16_t>(rng.uniformInt(0, c.height - 1)),
+                   Polarity::kOn, static_cast<TimeUs>(i * 37)});
+    }
+    expectTwinsAgree(fast, reference, p,
+                     ("1-column p=" + std::to_string(neighbourhood)).c_str());
+    // A p-wide patch clamped to one column has p cells down, minus the
+    // centre.
+    EventPacket one(0, 1'000'000);
+    one.push(Event{0, 32, Polarity::kOn, 900'000});
+    (void)fast.filter(one);
+    EXPECT_EQ(fast.lastOps().compares,
+              static_cast<std::uint64_t>(neighbourhood) - 1);
+  }
+}
+
+TEST(NnFilterTest, RandomStreamsFromNegativeTimeMatchReference) {
+  // Streams that start below t = 0 and advance in bursty gaps (mostly a
+  // few microseconds, one step in four up to three windows), at windows
+  // 64, 100 and 700 on a 70x9 frame, cut into packets so the map carries
+  // support across packet boundaries.
+  for (const TimeUs window : {TimeUs{64}, TimeUs{100}, TimeUs{700}}) {
+    for (int neighbourhood : {3, 5}) {
+      NnFilterConfig c;
+      c.width = 70;
+      c.height = 9;
+      c.neighbourhood = neighbourhood;
+      c.supportWindow = window;
+      NnFilter fast(c);
+      NnFilterReference reference(c);
+      Rng rng(static_cast<std::uint64_t>(window) * 7 + 1);
+      TimeUs t = -50;
+      for (int packet = 0; packet < 10; ++packet) {
+        EventPacket p(t, t + 60 * 3 * window + 1);
+        for (int step = 0; step < 60; ++step) {
+          t += rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, 3 * window)
+                                         : rng.uniformInt(0, 8);
+          p.push(Event{
+              static_cast<std::uint16_t>(rng.uniformInt(0, c.width - 1)),
+              static_cast<std::uint16_t>(rng.uniformInt(0, c.height - 1)),
+              Polarity::kOn, t});
+        }
+        expectTwinsAgree(fast, reference, p,
+                         ("W=" + std::to_string(window) +
+                          " p=" + std::to_string(neighbourhood) + " packet " +
+                          std::to_string(packet))
+                             .c_str());
+      }
+    }
+  }
+}
+
+TEST(NnFilterTest, RefiredPixelKeepsItsNewestTime) {
+  // A pixel that fires again must support its neighbours from its newest
+  // time: (4,4) fires at 0, 500 and 1000, and with W = 100 its neighbour
+  // is supported at 1000 and 1100 but not at 1101.
+  NnFilterConfig c = smallConfig();
+  c.width = 8;
+  c.height = 8;
+  c.supportWindow = 100;
+  NnFilter fast(c);
+  NnFilterReference reference(c);
+  EventPacket p(0, 10'000);
+  for (const TimeUs t : {TimeUs{0}, TimeUs{500}, TimeUs{1'000}}) {
+    p.push(Event{4, 4, Polarity::kOn, t});
+  }
+  for (const TimeUs t : {TimeUs{1'000}, TimeUs{1'100}, TimeUs{1'101}}) {
+    p.push(Event{5, 4, Polarity::kOn, t});
+  }
+  const EventPacket out = NnFilter(c).filter(p);
+  ASSERT_EQ(out.size(), 2U);
+  EXPECT_EQ(out[0], (Event{5, 4, Polarity::kOn, 1'000}));
+  EXPECT_EQ(out[1], (Event{5, 4, Polarity::kOn, 1'100}));
+  expectTwinsAgree(fast, reference, p, "re-fired pixel");
+}
+
+TEST(NnFilterTest, PacketWindowOutsideMapRangeThrows) {
+  // The map accepts windows inside (-2^47, 2^47); outside, t - W could
+  // reach "never" or overflow.  Both twins check once per packet, empty
+  // packets included.
+  const NnFilterConfig c = smallConfig();
+  NnFilter fast(c);
+  NnFilterReference reference(c);
+  const EventPacket tooEarly(-kMapTimeLimit, 0);
+  const EventPacket tooLate(0, kMapTimeLimit + 1);
+  EXPECT_THROW((void)fast.filter(tooEarly), LogicError);
+  EXPECT_THROW((void)reference.filter(tooEarly), LogicError);
+  EXPECT_THROW((void)fast.filter(tooLate), LogicError);
+  EXPECT_THROW((void)reference.filter(tooLate), LogicError);
+  EventPacket widest(-kMapTimeLimit + 1, kMapTimeLimit);
+  widest.push(Event{10, 10, Polarity::kOn, -kMapTimeLimit + 1});
+  widest.push(Event{11, 10, Polarity::kOn, kMapTimeLimit - 1});
+  expectTwinsAgree(fast, reference, widest, "widest window");
+}
+
+TEST(NnFilterTest, NeverDoesNotSupportAtTheEarliestTimeUnderTheLargestWindow) {
+  // At the earliest accepted time and the largest window, t - W still
+  // lies above "never" (and is formed without overflow: this case runs
+  // under UBSan in CI), so an unfired neighbourhood gives no support.
+  NnFilterConfig c = smallConfig();
+  c.supportWindow = kMapTimeLimit / 2 - 1;
+  EXPECT_NO_THROW(c.validate());
+  NnFilter fast(c);
+  NnFilterReference reference(c);
+  const TimeUs t0 = -kMapTimeLimit + 1;
+  EventPacket p(t0, 0);
+  p.push(Event{10, 10, Polarity::kOn, t0});      // nothing fired: dropped
+  p.push(Event{12, 12, Polarity::kOn, t0});      // not adjacent: dropped
+  p.push(Event{11, 10, Polarity::kOn, t0 + 1});  // supported by (10,10)
+  const EventPacket out = fast.filter(p);
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_EQ(out[0].x, 11);
+  fast.reset();
+  expectTwinsAgree(fast, reference, p, "earliest time");
+}
+
+TEST(NnFilterTest, CopyContinuesIndependentlyOfItsSource) {
+  // EbmsPipelineSnapshot copies the filter and restores it later: the
+  // copy must carry the map and share no state with its source.
+  const NnFilterConfig c = smallConfig();
+  NnFilter source(c);
+  NnFilter undisturbed(c);
+  EventPacket a(0, 1'000);
+  a.push(Event{10, 10, Polarity::kOn, 400});
+  (void)source.filter(a);
+  (void)undisturbed.filter(a);
+  NnFilter copy = source;
+  NnFilter assigned(c);
+  (void)assigned.filter(randomStream(c, 200, 0.6, 5));
+  assigned = source;
+  source.reset();
+  EventPacket b(1'000, 2'000);
+  b.push(Event{11, 10, Polarity::kOn, 1'200});  // 800 us after (10,10)
+  EXPECT_TRUE(source.filter(b).empty());
+  EXPECT_EQ(copy.filter(b).size(), 1U);
+  EXPECT_EQ(assigned.filter(b).size(), 1U);
+  EXPECT_EQ(undisturbed.filter(b).size(), 1U);
+  const EventPacket next = randomStream(c, 300, 0.6, 6);
+  EventPacket later(2'000, 2'000 + next.tEnd());
+  for (const Event& e : next) {
+    later.push(Event{e.x, e.y, e.p, e.t + 2'000});
+  }
+  const EventPacket want = undisturbed.filter(later);
+  for (NnFilter* f : {&copy, &assigned}) {
+    const EventPacket got = f->filter(later);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "event " << i;
+    }
+    EXPECT_EQ(f->lastOps(), undisturbed.lastOps());
+  }
 }
 
 TEST(NnFilterTest, FilterIntoReusesPacketAndMatchesFilter) {

@@ -159,7 +159,7 @@ TEST(EbmsPipelineTest, OptionalRefractoryStageThinsTheStream) {
               bare.stageOps().nnFilter.total())
         << "frame " << f;
   }
-  // Snapshot round-trip carries the refractory surface along.
+  // Snapshot round-trip carries the refractory map along.
   auto snap = refr.makeSnapshot();
   ASSERT_TRUE(refr.saveState(*snap));
   EXPECT_TRUE(refr.restoreState(*snap));
